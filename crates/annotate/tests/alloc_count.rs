@@ -1,8 +1,8 @@
 //! Steady-state allocation audit for the annotate hot path.
 //!
 //! This test binary installs a counting `#[global_allocator]` — a thin
-//! wrapper over [`System`] that increments an atomic on every `alloc` /
-//! `realloc` — and asserts the zero-allocation contract of
+//! wrapper over [`System`] that increments a per-thread counter on every
+//! `alloc` / `realloc` — and asserts the zero-allocation contract of
 //! [`Annotator::annotate_with`]: once an [`AnnotateScratch`] is warm and
 //! the previous snippet's output has been dropped, annotating a snippet
 //! performs **zero** heap allocations (tokenizer spans, NER entity spans,
@@ -10,28 +10,40 @@
 //! and the gazetteer automaton walk builds no key strings).
 //!
 //! The counter lives in its own integration-test binary so the wrapper
-//! never touches production builds or the other test binaries; it is the
-//! only test here, so no concurrent test thread can pollute the count.
+//! never touches production builds or the other test binaries. It
+//! counts per thread: the test harness runs the other test here on a
+//! concurrent thread, and its allocations must not pollute the count.
 //! (`etap-annotate` itself stays `#![forbid(unsafe_code)]` — the
 //! `unsafe impl GlobalAlloc` below is local to this test crate.)
 
 use etap_annotate::{AnnotateScratch, Annotator};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-/// Counts every allocation and reallocation served since process start.
+/// Counts every allocation and reallocation served to the calling
+/// thread since it started.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // A const-initialized `Cell` has no destructor and allocates
+    // nothing on first use, so touching it from inside the allocator
+    // cannot recurse.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with`: a thread tearing down its locals may still allocate.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -43,8 +55,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Allocations made so far by the calling thread.
 fn allocations() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.with(Cell::get)
 }
 
 /// A varied workload: entities of most categories, multi-word gazetteer
@@ -92,6 +105,9 @@ fn annotate_with_is_allocation_free_after_warmup() {
         after - before,
         10 * TEXTS.len()
     );
+    // The counter is live on this thread: a zero above is a measurement.
+    std::hint::black_box(Vec::<u8>::with_capacity(8));
+    assert!(allocations() > after, "allocation counter did not move");
 }
 
 #[test]

@@ -82,7 +82,7 @@ fn bench_annotate() {
     let t = time_best(10, || {
         snippets
             .iter()
-            .map(|s| annotator.annotate(s).entities.len())
+            .map(|s| annotator.annotate(s).entities().len())
             .sum::<usize>()
     });
     report("annotate", "ner_pos_full", t, bytes as f64, "B");

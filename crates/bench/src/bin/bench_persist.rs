@@ -5,10 +5,10 @@
 //! from a fresh crawl. Timed, averaged over `ETAP_PERSIST_ROUNDS`
 //! rounds:
 //!
-//! * **publish** — serialize + fsync a whole generation
+//! * **publish** — encode + fsync a whole `LEADS v2` generation
 //!   (`GenerationStore::publish`, checksummed MANIFEST protocol);
-//! * **load** — read it back fully validated (`GenerationStore::load`:
-//!   manifest, per-file checksums, codec round-trip);
+//! * **load** — map it back fully validated (`GenerationStore::load`:
+//!   manifest, per-file checksums, mapped-book validation, models);
 //! * **warm start** — `load_latest` + `etap_serve::start` until the
 //!   server answers `/healthz` — the crash-recovery path measured to
 //!   first served byte;

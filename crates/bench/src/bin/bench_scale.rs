@@ -11,19 +11,21 @@
 //!
 //! * **stream** — docs/s through [`etap_corpus::DocStream`] with the
 //!   event harvest running inline (the collection is never held);
-//! * **publish** — a full `LEADS v1` text generation vs a full sharded
-//!   `LEADS v2` binary generation, then an incremental v2 publish of a
-//!   small extension (clean shards hard-linked, not rewritten);
-//! * **warm start** — `load_latest` of the v1 generation (checksum +
-//!   parse + rebuild) vs the v2 generation (mmap + checksum pass, no
-//!   parse), median of `ETAP_SCALE_ROUNDS`;
+//! * **publish** — a full sharded `LEADS v2` generation, then an
+//!   incremental publish of a small extension (clean shards
+//!   hard-linked, not rewritten);
+//! * **warm start** — `load_latest` of the newest generation (mmap +
+//!   checksum pass, no parse) vs the same load followed by
+//!   `events_owned()` + `LeadBook::build`, the least work any load into
+//!   an owned book must do; median of `ETAP_SCALE_ROUNDS` each;
 //! * **serving** — req/s against `/leads?top=10` served straight from
 //!   the mapping, measured over `ETAP_SCALE_REQS` keep-alive requests;
 //! * **memory** — peak RSS (`VmHWM`) after ingest.
 //!
 //! Writes `BENCH_scale.json` into the current directory. verify.sh
-//! stage 7 gates on `warm_speedup` (≥ 10×) and on the incremental
-//! publish writing strictly fewer bytes than the full one.
+//! stage 7 gates on `warm_speedup` (owned over mapped, ≥ 10×) and on
+//! the incremental publish writing strictly fewer bytes than the full
+//! one.
 //!
 //! ```sh
 //! cargo run --release -p etap-bench --bin bench_scale
@@ -147,14 +149,11 @@ fn main() {
         ms
     };
 
-    // ── publish: v1 text vs v2 binary, then incremental v2 ──
-    let root_v1 = std::env::temp_dir().join(format!("etap_scale_v1_{}", std::process::id()));
-    let root_v2 = std::env::temp_dir().join(format!("etap_scale_v2_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root_v1);
-    let _ = std::fs::remove_dir_all(&root_v2);
-    let store_v1 = GenerationStore::open(&root_v1).expect("open v1 store");
-    let store_v2 = GenerationStore::open(&root_v2)
-        .expect("open v2 store")
+    // ── publish: full v2, then incremental v2 ──
+    let root = std::env::temp_dir().join(format!("etap_scale_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let store = GenerationStore::open(&root)
+        .expect("open store")
         .with_leads_format(LeadsFormat::Binary { shards });
 
     let base = snapshot_of(events, 1);
@@ -163,60 +162,62 @@ fn main() {
     let extended = snapshot_of(extended_events, 2);
 
     let t = Instant::now();
-    let v1_outcome = store_v1.publish(&base).expect("v1 publish");
-    let v1_publish_ms = t.elapsed().as_secs_f64() * 1_000.0;
-    let t = Instant::now();
-    let v2_outcome = store_v2.publish(&base).expect("v2 publish");
+    let v2_outcome = store.publish(&base).expect("v2 publish");
     let v2_publish_ms = t.elapsed().as_secs_f64() * 1_000.0;
     let t = Instant::now();
-    let extend_outcome = store_v2.publish(&extended).expect("v2 extend publish");
+    let extend_outcome = store.publish(&extended).expect("v2 extend publish");
     let extend_publish_ms = t.elapsed().as_secs_f64() * 1_000.0;
     eprintln!(
-        "publish: v1 {v1_publish_ms:.1} ms ({} B), v2 {v2_publish_ms:.1} ms ({} B), \
+        "publish: v2 {v2_publish_ms:.1} ms ({} B), \
          v2 extend {extend_publish_ms:.1} ms ({} B written, {} shard(s) dirty, {} linked)",
-        v1_outcome.bytes_written,
         v2_outcome.bytes_written,
         extend_outcome.bytes_written,
         extend_outcome.shards_written,
         extend_outcome.files_linked,
     );
 
-    // ── warm start: parsed v1 vs mmap'd v2, median of rounds ──
-    let mut v1_rounds = Vec::with_capacity(rounds);
+    // ── warm start: owned rebuild vs mmap'd, median of rounds ──
+    let mut owned_rounds = Vec::with_capacity(rounds);
     let mut v2_rounds = Vec::with_capacity(rounds);
     for _ in 0..rounds {
-        v1_rounds.push(time_ms(|| {
-            let (s, _) = store_v1.load_latest().expect("scan").expect("v1 gen");
-            assert_eq!(s.book.len(), n_events);
+        owned_rounds.push(time_ms(|| {
+            let (s, _) = store.load_latest().expect("scan").expect("v2 gen");
+            let book = LeadBook::build(s.book.events_owned());
+            assert_eq!(book.len(), extended.book.len());
         }));
         v2_rounds.push(time_ms(|| {
-            let (s, _) = store_v2.load_latest().expect("scan").expect("v2 gen");
+            let (s, _) = store.load_latest().expect("scan").expect("v2 gen");
             assert!(s.book.is_mapped());
         }));
     }
-    let v1_warm_ms = median(v1_rounds);
+    let owned_warm_ms = median(owned_rounds);
     let v2_warm_ms = median(v2_rounds);
-    let warm_speedup = v1_warm_ms / v2_warm_ms.max(1e-9);
+    let warm_speedup = owned_warm_ms / v2_warm_ms.max(1e-9);
     eprintln!(
-        "warm start (median of {rounds}): v1 parse {v1_warm_ms:.2} ms, \
+        "warm start (median of {rounds}): owned rebuild {owned_warm_ms:.2} ms, \
          v2 mmap {v2_warm_ms:.2} ms ({warm_speedup:.1}×)"
     );
 
-    // Content parity: the mapped book must materialize to exactly the
-    // parsed book (the byte-level HTTP parity gate lives in verify.sh).
-    let (v1_loaded, _) = store_v1.load_latest().expect("scan").expect("v1 gen");
-    let (v2_loaded, _) = store_v2.load(1).map(|s| (s, ())).expect("v2 gen 1");
-    assert_eq!(
-        v1_loaded.book.events_owned(),
-        v2_loaded.book.events_owned(),
-        "v1 and v2 generations must hold identical events"
+    // Content parity: the mapped generation must materialize to exactly
+    // the in-process book, scores bit for bit (the byte-level HTTP
+    // parity gate lives in verify.sh).
+    let loaded = store.load(1).expect("v2 gen 1").book.events_owned();
+    let in_process = base.book.events_owned();
+    assert!(
+        loaded.len() == in_process.len()
+            && loaded
+                .iter()
+                .zip(&in_process)
+                .all(|(a, b)| a.score.to_bits() == b.score.to_bits() && a == b),
+        "the mapped generation must hold the in-process book's events"
     );
+    drop((loaded, in_process, base, extended));
 
     // ── serving: req/s straight off the mapping ──
     let mut cfg = ServeConfig::from_env();
     cfg.addr = "127.0.0.1:0".to_string();
     cfg.keepalive_requests = reqs + 8;
-    let (mapped, _) = store_v2.load_latest().expect("scan").expect("v2 gen");
+    let (mapped, _) = store.load_latest().expect("scan").expect("v2 gen");
     assert!(mapped.book.is_mapped());
     let server = etap_serve::start(&cfg, Arc::new(mapped)).expect("start server");
     let req = b"GET /leads?top=10 HTTP/1.1\r\nHost: b\r\nConnection: keep-alive\r\n\r\n";
@@ -257,9 +258,7 @@ fn main() {
     println!("scale ({docs} docs, {n_events} events, {cores} core(s)):");
     println!("  stream        : {docs_per_sec:>10.0} docs/s ({stream_s:.2} s total)");
     println!("  book build    : {build_ms:>10.1} ms");
-    println!(
-        "  publish       : v1 {v1_publish_ms:.1} ms / v2 {v2_publish_ms:.1} ms / extend {extend_publish_ms:.1} ms"
-    );
+    println!("  publish       : v2 {v2_publish_ms:.1} ms / extend {extend_publish_ms:.1} ms");
     println!(
         "  extend bytes  : {} of {} (full), {} shard(s) dirty, {} linked",
         extend_outcome.bytes_written,
@@ -267,7 +266,9 @@ fn main() {
         extend_outcome.shards_written,
         extend_outcome.files_linked
     );
-    println!("  warm start    : v1 {v1_warm_ms:.2} ms → v2 {v2_warm_ms:.2} ms ({warm_speedup:.1}×)");
+    println!(
+        "  warm start    : owned {owned_warm_ms:.2} ms → v2 {v2_warm_ms:.2} ms ({warm_speedup:.1}×)"
+    );
     println!("  serving       : {req_per_sec:>10.0} req/s over {reqs} requests");
     println!("  peak RSS      : {rss_mib:>10.1} MiB");
 
@@ -275,14 +276,12 @@ fn main() {
         "{{\"docs\": {docs}, \"events\": {n_events}, \"cores\": {cores}, \
          \"shards\": {shards}, \"stream_s\": {stream_s:.3}, \
          \"docs_per_sec\": {docs_per_sec:.0}, \"build_ms\": {build_ms:.1}, \
-         \"v1_publish_ms\": {v1_publish_ms:.1}, \"v1_bytes\": {}, \
          \"v2_publish_ms\": {v2_publish_ms:.1}, \"v2_bytes\": {}, \
          \"extend_publish_ms\": {extend_publish_ms:.1}, \"extend_bytes\": {}, \
          \"extend_dirty_shards\": {}, \"extend_linked_files\": {}, \
-         \"v1_warm_ms\": {v1_warm_ms:.2}, \"v2_warm_ms\": {v2_warm_ms:.2}, \
+         \"owned_warm_ms\": {owned_warm_ms:.2}, \"v2_warm_ms\": {v2_warm_ms:.2}, \
          \"warm_speedup\": {warm_speedup:.1}, \"req_per_sec\": {req_per_sec:.0}, \
          \"peak_rss_mib\": {rss_mib:.1}}}\n",
-        v1_outcome.bytes_written,
         v2_outcome.bytes_written,
         extend_outcome.bytes_written,
         extend_outcome.shards_written,
@@ -291,6 +290,5 @@ fn main() {
     std::fs::write("BENCH_scale.json", &json).expect("write BENCH_scale.json");
     println!("\nwrote BENCH_scale.json: {json}");
 
-    let _ = std::fs::remove_dir_all(&root_v1);
-    let _ = std::fs::remove_dir_all(&root_v2);
+    let _ = std::fs::remove_dir_all(&root);
 }

@@ -325,8 +325,11 @@ mod tests {
             .and(Filter::cat(EntityCategory::Prsn).or(Filter::cat(EntityCategory::Org)));
         assert!(f.matches(&annotate("IBM named James Wilson as its new CEO.")));
         assert!(!f.matches(&annotate("The weather was mild on Monday.")));
-        // Designation without any person/org fails.
-        assert!(!f.matches(&annotate("a ceo generally works long hours.")) || true);
+        // Designation without any person/org fails: the DESIG clause
+        // holds, the (PRSN OR ORG) clause does not.
+        let lone_title = annotate("a ceo generally works long hours.");
+        assert!(Filter::cat(EntityCategory::Desig).matches(&lone_title));
+        assert!(!f.matches(&lone_title));
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! `LEADS v2`: the sharded, memory-mappable binary lead book.
 //!
-//! The text codec (`etap::persist`, `LEADS` v1) parses every event into
-//! owned heap structures at load time — O(parse) warm start and a
-//! private copy per replica. This module is the scale path:
+//! The one on-disk book format. Loading it is O(mmap) plus a checksum
+//! pass — no parse into owned heap structures and no private copy per
+//! replica:
 //!
 //! * [`encode_book`] splits a [`LeadBook`] into **shards** keyed by the
 //!   event's primary company (driver id for company-less events), each
@@ -765,9 +765,9 @@ impl MappedBook {
         Some((entry.as_ref(), events))
     }
 
-    /// Copy every event out in global rank order — the migration /
-    /// parity path back to owned structures. O(parse); defeats the
-    /// purpose if called per request.
+    /// Copy every event out in global rank order — the path back to
+    /// owned structures (diff, extend, re-encode, parity checks).
+    /// O(book); defeats the purpose if called per request.
     #[must_use]
     pub fn events_owned(&self) -> Vec<TriggerEvent> {
         self.top(self.total).iter().map(EventView::to_event).collect()
@@ -916,7 +916,7 @@ impl PartialEq for BookHandle {
     /// Semantic equality: two handles are equal when they rank the same
     /// events identically, regardless of backing. Owned-vs-owned
     /// compares the full books; any mapped side compares materialized
-    /// events (test/migration use — not a hot path).
+    /// events (tests and checks — not a hot path).
     fn eq(&self, other: &Self) -> bool {
         match (self, other) {
             (BookHandle::Owned(a), BookHandle::Owned(b)) => a == b,
@@ -1234,6 +1234,32 @@ mod tests {
         let b = encode_book(&book, 4);
         assert_eq!(a.index, b.index);
         assert_eq!(a.shards, b.shards);
+    }
+
+    #[test]
+    fn roundtrip_is_bit_exact_and_a_byte_fixpoint() {
+        // Awkward strings (tabs, newlines, a company name with a tab)
+        // and scores without a short decimal form must survive the
+        // mapped book exactly; re-encoding what it materializes gives
+        // the same bytes, the fixpoint the store's checksums rely on.
+        let mut tricky = event(SalesDriver::ChangeInManagement, 2, 1.0 / 3.0, &["Zed Ltd", "A\tB"]);
+        tricky.snippet = "snippet\twith tab\nand newline".to_string();
+        let events = vec![
+            event(SalesDriver::RevenueGrowth, 0, 0.912_345_678_901_234_5, &["Acme"]),
+            event(SalesDriver::MergersAcquisitions, 1, 0.5, &[]),
+            tricky,
+        ];
+        let book = LeadBook::build(events);
+        let enc = encode_book(&book, 4);
+        let back = open_encoded(&enc).events_owned();
+        assert_eq!(back.len(), book.len());
+        for (a, b) in back.iter().zip(book.events()) {
+            assert_eq!(a.score.to_bits(), b.score.to_bits());
+            assert_eq!((&a.snippet, &a.companies), (&b.snippet, &b.companies));
+        }
+        let again = encode_book(&LeadBook::build(back), 4);
+        assert_eq!(again.index, enc.index);
+        assert_eq!(again.shards, enc.shards);
     }
 
     #[test]

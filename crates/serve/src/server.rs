@@ -385,7 +385,9 @@ impl ServerHandle {
     }
 
     /// Stop accepting, drain queued and in-flight requests, join every
-    /// thread. Idempotent-safe to call once (consumes the handle).
+    /// thread. Connections the kernel had already accepted when
+    /// shutdown began are served too (with `Connection: close`), never
+    /// reset. Idempotent-safe to call once (consumes the handle).
     pub fn shutdown(mut self) {
         self.stop.store(true, Ordering::SeqCst);
         // Unblock the blocking accept with a throwaway connection.
@@ -417,49 +419,68 @@ fn accept_loop(
             std::thread::sleep(Duration::from_millis(20));
             continue;
         };
+        dispatch(stream, queue, ctx);
         if stop.load(Ordering::SeqCst) {
-            return; // the wake-up connection (or late arrivals) drop here
+            // Shutdown began. Every connection the kernel has already
+            // completed (the one just accepted, the backlog behind it,
+            // the wake-up connection) is served through the queue, which
+            // drains on close: dropping one with its request unread
+            // would reset it, and so would closing the listener over a
+            // non-empty backlog.
+            if listener.set_nonblocking(true).is_ok() {
+                while let Ok((stream, _)) = listener.accept() {
+                    if stream.set_nonblocking(false).is_ok() {
+                        dispatch(stream, queue, ctx);
+                    }
+                }
+            }
+            return;
         }
-        // Nagle would stall response n+1 on a kept-alive connection
-        // behind the delayed ACK of response n; request/response
-        // exchanges want immediate flushes.
-        let _ = stream.set_nodelay(true);
-        let job = Job {
-            stream,
-            accepted: Instant::now(),
-        };
-        match queue.try_push(job) {
-            Ok(()) => {
-                ctx.metrics.requests_total.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(PushError::Full(job) | PushError::Closed(job)) => {
-                // Shed at the gate: cheap fixed 503 on the acceptor
-                // thread; workers never see the connection.
-                ctx.metrics.shed_total.fetch_add(1, Ordering::Relaxed);
-                let mut stream = job.stream;
-                let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
-                let _ = http::write_response(
-                    &mut stream,
-                    status::SERVICE_UNAVAILABLE,
-                    "text/plain; charset=utf-8",
-                    &[("Retry-After", "1")],
-                    b"queue full, retry\n",
-                    false,
-                );
-                // One short best-effort read to consume the request
-                // bytes that typically arrived with the connection:
-                // closing with unread data pending turns the close into
-                // an RST that can destroy the 503 before the client
-                // reads it (the hazard drain_request guards against on
-                // the worker path — a full drain would stall the
-                // acceptor too long under overload).
-                use std::io::Read as _;
-                let _ = stream.set_read_timeout(Some(Duration::from_millis(5)));
-                let mut scratch = [0u8; 4096];
-                let _ = stream.read(&mut scratch);
-                ctx.metrics
-                    .record_response(503, job.accepted.elapsed().as_micros() as u64);
-            }
+    }
+}
+
+/// Hand one accepted connection to the worker queue, or shed it with a
+/// 503 when the queue is full.
+fn dispatch(stream: TcpStream, queue: &Bounded<Job>, ctx: &Ctx) {
+    // Nagle would stall response n+1 on a kept-alive connection
+    // behind the delayed ACK of response n; request/response
+    // exchanges want immediate flushes.
+    let _ = stream.set_nodelay(true);
+    let job = Job {
+        stream,
+        accepted: Instant::now(),
+    };
+    match queue.try_push(job) {
+        Ok(()) => {
+            ctx.metrics.requests_total.fetch_add(1, Ordering::Relaxed);
+        }
+        Err(PushError::Full(job) | PushError::Closed(job)) => {
+            // Shed at the gate: cheap fixed 503 on the acceptor
+            // thread; workers never see the connection.
+            ctx.metrics.shed_total.fetch_add(1, Ordering::Relaxed);
+            let mut stream = job.stream;
+            let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
+            let _ = http::write_response(
+                &mut stream,
+                status::SERVICE_UNAVAILABLE,
+                "text/plain; charset=utf-8",
+                &[("Retry-After", "1")],
+                b"queue full, retry\n",
+                false,
+            );
+            // One short best-effort read to consume the request
+            // bytes that typically arrived with the connection:
+            // closing with unread data pending turns the close into
+            // an RST that can destroy the 503 before the client
+            // reads it (the hazard drain_request guards against on
+            // the worker path — a full drain would stall the
+            // acceptor too long under overload).
+            use std::io::Read as _;
+            let _ = stream.set_read_timeout(Some(Duration::from_millis(5)));
+            let mut scratch = [0u8; 4096];
+            let _ = stream.read(&mut scratch);
+            ctx.metrics
+                .record_response(503, job.accepted.elapsed().as_micros() as u64);
         }
     }
 }

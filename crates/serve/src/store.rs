@@ -6,23 +6,25 @@
 //!
 //! ```text
 //! <root>/
-//!   gen-3/                    text format (LEADS v1)
-//!     MANIFEST                ETAP GEN-MANIFEST (written last)
-//!     events.leads            ETAP LEADS v1 — the ranked event book
-//!     model-000-<id>.model    ETAP MODEL v2 — one per trained driver,
-//!     model-001-<id>.model    numbered to preserve driver order
-//!   gen-4/                    binary format (LEADS v2)
-//!     MANIFEST
+//!   gen-4/
+//!     MANIFEST                ETAP GEN-MANIFEST v2 (written last)
 //!     book.index              ETAPBIN LEADS-IDX — rankings as refs
 //!     shards/
 //!       shard-00000.leads2    ETAPBIN LEADS — event records, one
 //!       shard-00001.leads2    shard per company-hash bucket
-//!     model-000-<id>.model
+//!     model-000-<id>.model    ETAP MODEL v2 — one per trained driver,
+//!     model-001-<id>.model    numbered to preserve driver order
 //!   gen-5/
 //!     …
 //! ```
 //!
-//! Binary generations are **content-addressed**: before writing a
+//! Sharded `LEADS v2` is the only book format. A generation written by
+//! an older build in the text `LEADS v1` format (`events.leads`, a v1
+//! manifest or `format text`) is rejected by [`GenerationStore::load`]
+//! with a [`StoreError::Invalid`] naming the dropped format, so
+//! [`GenerationStore::load_latest`] skips it (DESIGN.md §9).
+//!
+//! Generations are **content-addressed**: before writing a
 //! payload file, its FNV + size are compared against the previous
 //! generation's manifest; an unchanged file is `hard_link`ed instead of
 //! rewritten (links survive pruning of the source directory — the inode
@@ -30,7 +32,7 @@
 //! bit-identical under extend (see `etap::leads2`), an incremental
 //! publish writes only the dirty shards, the index, and the manifest.
 //!
-//! At load, binary payloads are opened as [`Arena`]s — mmap-backed on
+//! At load, book payloads are opened as [`Arena`]s — mmap-backed on
 //! Linux — and served zero-copy through a `MappedBook`: warm start is
 //! O(mmap) + one checksum pass, never O(parse).
 //!
@@ -73,15 +75,13 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// Codec kind of generation manifests.
 pub const MANIFEST_KIND: &str = "GEN-MANIFEST";
-/// Highest `GEN-MANIFEST` version this build reads/writes (v2 adds the
-/// `format`/`shards` records for binary generations; v1 manifests
-/// still load).
+/// Highest `GEN-MANIFEST` version this build reads/writes. v2 added the
+/// `format`/`shards` records; a v1 manifest described a text generation
+/// and no longer loads.
 pub const MANIFEST_VERSION: u32 = 2;
-/// The ranked-event file inside each text-format generation.
-pub const EVENTS_FILE: &str = "events.leads";
-/// The ranking-index file inside each binary-format generation.
+/// The ranking-index file inside each generation.
 pub const INDEX_FILE: &str = "book.index";
-/// Subdirectory holding binary shard files.
+/// Subdirectory holding the shard files.
 pub const SHARD_DIR: &str = "shards";
 
 /// Perf stages for the persistence paths (no-ops unless `ETAP_PERF=1`);
@@ -89,11 +89,10 @@ pub const SHARD_DIR: &str = "shards";
 static STAGE_PUBLISH: Stage = Stage::new("persist.publish");
 static STAGE_LOAD: Stage = Stage::new("persist.load");
 
-/// On-disk representation of the lead book inside a generation.
+/// On-disk representation of the lead book inside a generation. Sharded
+/// binary `LEADS v2` is the only one; the enum carries its shard count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LeadsFormat {
-    /// `LEADS v1` text codec: greppable, parsed at load.
-    Text,
     /// Sharded `LEADS v2` binary: mmap'd at load, served zero-copy.
     Binary {
         /// Number of company-hash shards (clamped to ≥ 1).
@@ -111,8 +110,7 @@ pub struct PublishOutcome {
     /// Payload files newly written (dirty shards, index, changed models).
     pub files_written: u64,
     /// Shard files among [`files_written`](Self::files_written) — the
-    /// dirty-shard count an incremental publish is judged by (always 0
-    /// for text-format publishes).
+    /// dirty-shard count an incremental publish is judged by.
     pub shards_written: u64,
     /// Payload files hard-linked unchanged from the previous generation.
     pub files_linked: u64,
@@ -129,7 +127,8 @@ pub enum StoreError {
     /// A file failed codec validation (checksum, version, grammar).
     Codec(CodecError),
     /// The manifest's own invariants failed (missing/duplicated file
-    /// entry, size or checksum mismatch, generation number mismatch).
+    /// entry, size or checksum mismatch, generation number mismatch), or
+    /// the generation is in a dropped format (text `LEADS v1`).
     Invalid(String),
 }
 
@@ -188,13 +187,14 @@ pub struct GenerationStore {
     /// newest generations so a long-running watch loop cannot fill the
     /// disk.
     retention: Option<usize>,
-    /// On-disk book format for generations this store *writes*; reads
-    /// auto-detect from each generation's manifest.
+    /// Shard count for generations this store *writes*; reads take it
+    /// from each generation's manifest.
     leads_format: LeadsFormat,
 }
 
 impl GenerationStore {
-    /// Open (creating if needed) a store rooted at `root`.
+    /// Open (creating if needed) a store rooted at `root`, writing
+    /// [`leads2::DEFAULT_SHARDS`] shards per generation.
     ///
     /// # Errors
     /// Propagates directory-creation failures.
@@ -204,7 +204,9 @@ impl GenerationStore {
         Ok(Self {
             root,
             retention: None,
-            leads_format: LeadsFormat::Text,
+            leads_format: LeadsFormat::Binary {
+                shards: leads2::DEFAULT_SHARDS,
+            },
         })
     }
 
@@ -217,7 +219,7 @@ impl GenerationStore {
         self
     }
 
-    /// Choose the on-disk book format for future publishes.
+    /// Choose the shard count of future publishes.
     #[must_use]
     pub fn with_leads_format(mut self, format: LeadsFormat) -> Self {
         self.leads_format = format;
@@ -236,7 +238,7 @@ impl GenerationStore {
         self.retention
     }
 
-    /// The format future publishes will use.
+    /// The format (shard count) future publishes will use.
     #[must_use]
     pub fn leads_format(&self) -> LeadsFormat {
         self.leads_format
@@ -311,9 +313,9 @@ impl GenerationStore {
     /// Persist one snapshot as generation `snapshot.generation`,
     /// following the crash-safety protocol (tmp dir → fsync'd files →
     /// manifest last → rename → root fsync). Republishing an existing
-    /// generation number replaces it atomically. Binary-format
-    /// publishes hard-link payload files whose bytes are unchanged from
-    /// the previous generation instead of rewriting them.
+    /// generation number replaces it atomically. Shard files whose bytes
+    /// are unchanged from the previous generation are hard-linked
+    /// instead of rewritten.
     ///
     /// # Errors
     /// Propagates filesystem errors; the store is left without a
@@ -338,10 +340,9 @@ impl GenerationStore {
         manifest.record(["generation", &generation.to_string()]);
         manifest.record(["window", &snapshot.trained.snippet_window().to_string()]);
         manifest.record(["events", &snapshot.book.len().to_string()]);
-        if let LeadsFormat::Binary { shards } = self.leads_format {
-            manifest.record(["format", "binary"]);
-            manifest.record(["shards", &shards.max(1).to_string()]);
-        }
+        let LeadsFormat::Binary { shards } = self.leads_format;
+        manifest.record(["format", "binary"]);
+        manifest.record(["shards", &shards.max(1).to_string()]);
 
         let mut outcome = PublishOutcome {
             dir: final_dir.clone(),
@@ -381,34 +382,20 @@ impl GenerationStore {
                 Ok(())
             };
 
-        match self.leads_format {
-            LeadsFormat::Text => {
-                let events = snapshot.book.events_owned();
-                write_payload(
-                    EVENTS_FILE,
-                    etap::persist::events_to_string(&events).as_bytes(),
-                    &mut outcome,
-                )?;
-            }
-            LeadsFormat::Binary { shards } => {
-                // Encode from the owned book when available; a mapped
-                // book republishing under a different shard count first
-                // materializes (republish-in-place links everything, so
-                // the cost only occurs on genuine re-encodes).
-                let encoded = match snapshot.book.as_owned() {
-                    Some(book) => leads2::encode_book(book, shards),
-                    None => {
-                        leads2::encode_book(&LeadBook::build(snapshot.book.events_owned()), shards)
-                    }
-                };
-                std::fs::create_dir_all(tmp_dir.join(SHARD_DIR))?;
-                write_payload(INDEX_FILE, &encoded.index, &mut outcome)?;
-                for (sid, bytes) in encoded.shards.iter().enumerate() {
-                    let before = outcome.files_written;
-                    write_payload(&shard_file(sid), bytes, &mut outcome)?;
-                    outcome.shards_written += outcome.files_written - before;
-                }
-            }
+        // Encode from the owned book when available; a mapped book
+        // republishing under a different shard count first materializes
+        // (republish-in-place links everything, so the cost only occurs
+        // on genuine re-encodes).
+        let encoded = match snapshot.book.as_owned() {
+            Some(book) => leads2::encode_book(book, shards),
+            None => leads2::encode_book(&LeadBook::build(snapshot.book.events_owned()), shards),
+        };
+        std::fs::create_dir_all(tmp_dir.join(SHARD_DIR))?;
+        write_payload(INDEX_FILE, &encoded.index, &mut outcome)?;
+        for (sid, bytes) in encoded.shards.iter().enumerate() {
+            let before = outcome.files_written;
+            write_payload(&shard_file(sid), bytes, &mut outcome)?;
+            outcome.shards_written += outcome.files_written - before;
         }
         for (i, driver) in snapshot.trained.drivers.iter().enumerate() {
             let name = format!("model-{i:03}-{}.model", driver.spec.driver.id());
@@ -455,10 +442,10 @@ impl GenerationStore {
 
     /// Load and fully validate one generation: the manifest must parse,
     /// list each file exactly once with matching size and checksum, and
-    /// every payload file must itself decode. Text generations parse
-    /// into an owned book; binary generations mmap into a zero-copy
-    /// `MappedBook` (the manifest FNV pass over the arenas is the
-    /// integrity check — no parse happens).
+    /// every payload file must itself decode. The book mmaps into a
+    /// zero-copy `MappedBook` (the manifest FNV pass over the arenas is
+    /// the integrity check — no parse happens). A text `LEADS v1`
+    /// generation fails with [`StoreError::Invalid`].
     ///
     /// # Errors
     /// See [`StoreError`]; any failure means this generation is not
@@ -516,15 +503,21 @@ impl GenerationStore {
         }
         let window = window.ok_or_else(|| missing("window"))?;
         let event_count = event_count.ok_or_else(|| missing("events"))?;
-        let binary = match format.as_deref() {
-            None | Some("text") => false,
-            Some("binary") => true,
+        match format.as_deref() {
+            Some("binary") => {}
+            // v1 manifests predate the record; v2 text ones omitted it.
+            None | Some("text") => {
+                return Err(StoreError::Invalid(
+                    "LEADS v1 text generation: no longer supported, republish as LEADS v2"
+                        .to_string(),
+                ))
+            }
             Some(other) => {
                 return Err(StoreError::Invalid(format!(
                     "unknown leads format {other:?}"
                 )))
             }
-        };
+        }
 
         // Verify + decode each payload in manifest order (which
         // preserves the driver order the snapshot was published with).
@@ -544,12 +537,11 @@ impl GenerationStore {
             Ok(())
         };
         let mut drivers = Vec::new();
-        let mut text_book: Option<LeadBook> = None;
         let mut index_arena: Option<Arc<Arena>> = None;
         let mut shard_arenas: Vec<(u32, Arc<Arena>)> = Vec::new();
         for (name, checksum, size) in &files {
             let path = dir.join(name);
-            if binary && (name == INDEX_FILE || shard_id(name).is_some()) {
+            if name == INDEX_FILE || shard_id(name).is_some() {
                 let arena = Arc::new(open_arena(&path)?);
                 verify(name, arena.bytes(), *checksum, *size)?;
                 if name == INDEX_FILE {
@@ -557,16 +549,12 @@ impl GenerationStore {
                 } else if let Some(sid) = shard_id(name) {
                     shard_arenas.push((sid, arena));
                 }
-            } else if !binary && name == EVENTS_FILE {
+            } else if name.ends_with(".model") {
                 let bytes = std::fs::read(&path)?;
                 verify(name, &bytes, *checksum, *size)?;
                 let text = String::from_utf8(bytes)
                     .map_err(|_| StoreError::Invalid(format!("{name}: not UTF-8")))?;
-                text_book = Some(etap::persist::book_from_str(&text)?);
-            } else if name.ends_with(".model") {
-                let bytes = std::fs::read(&path)?;
-                verify(name, &bytes, *checksum, *size)?;
-                drivers.push(etap::persist::load(&path).map_err(CodecError::Io)?);
+                drivers.push(etap::persist::from_str(&text)?);
             } else {
                 return Err(StoreError::Invalid(format!(
                     "manifest lists unrecognized file {name:?}"
@@ -574,26 +562,22 @@ impl GenerationStore {
             }
         }
 
-        let book: BookHandle = if binary {
-            let n = shard_count.ok_or_else(|| missing("shards"))?.max(1) as usize;
-            let index = index_arena.ok_or_else(|| missing("book.index file"))?;
-            shard_arenas.sort_by_key(|(sid, _)| *sid);
-            if shard_arenas.len() != n
-                || shard_arenas
-                    .iter()
-                    .enumerate()
-                    .any(|(i, (sid, _))| *sid != i as u32)
-            {
-                return Err(StoreError::Invalid(format!(
-                    "manifest lists {} shard files, expected shards 0..{n}",
-                    shard_arenas.len()
-                )));
-            }
-            let shards = shard_arenas.into_iter().map(|(_, a)| a).collect();
-            BookHandle::Mapped(Arc::new(MappedBook::open(index, shards)?))
-        } else {
-            text_book.ok_or_else(|| missing("events.leads file"))?.into()
-        };
+        let n = shard_count.ok_or_else(|| missing("shards"))?.max(1) as usize;
+        let index = index_arena.ok_or_else(|| missing("book.index file"))?;
+        shard_arenas.sort_by_key(|(sid, _)| *sid);
+        if shard_arenas.len() != n
+            || shard_arenas
+                .iter()
+                .enumerate()
+                .any(|(i, (sid, _))| *sid != i as u32)
+        {
+            return Err(StoreError::Invalid(format!(
+                "manifest lists {} shard files, expected shards 0..{n}",
+                shard_arenas.len()
+            )));
+        }
+        let shards = shard_arenas.into_iter().map(|(_, a)| a).collect();
+        let book = BookHandle::Mapped(Arc::new(MappedBook::open(index, shards)?));
         if book.len() != event_count {
             return Err(StoreError::Invalid(format!(
                 "manifest says {event_count} events, book has {}",
@@ -741,6 +725,7 @@ mod tests {
         store.publish(&snapshot(1, 5)).expect("publish");
         let loaded = store.load(1).expect("load");
         assert_eq!(loaded.generation, 1);
+        assert!(loaded.book.is_mapped());
         assert_eq!(loaded.book, snapshot(1, 5).book);
         assert_eq!(loaded.trained.snippet_window(), 3);
         let _ = std::fs::remove_dir_all(store.root());
@@ -811,25 +796,78 @@ mod tests {
     }
 
     #[test]
-    fn text_and_binary_generations_agree() {
+    fn owned_and_mapped_books_agree_bit_exactly() {
         let store = temp_store("parity");
-        store.publish(&snapshot(1, 9)).expect("text publish");
-        let binary = GenerationStore::open(store.root())
-            .expect("reopen")
-            .with_leads_format(LeadsFormat::Binary { shards: 4 });
-        // Same book content, re-published under the binary format.
-        let mut republished = snapshot(1, 9);
-        republished.generation = 2;
-        binary.publish(&republished).expect("binary publish");
+        let owned = snapshot(1, 9);
+        assert!(!owned.book.is_mapped());
+        store.publish(&owned).expect("publish");
+        let mapped = store.load(1).expect("load");
+        assert!(mapped.book.is_mapped());
 
-        let v1 = store.load(1).expect("load v1");
-        let v2 = store.load(2).expect("load v2");
-        assert!(!v1.book.is_mapped() && v2.book.is_mapped());
-        // Byte-for-byte agreement once both are materialized.
-        assert_eq!(
-            etap::persist::events_to_string(&v1.book.events_owned()),
-            etap::persist::events_to_string(&v2.book.events_owned()),
+        // Every field of every event, scores compared by bit pattern.
+        let (a, b) = (owned.book.events_owned(), mapped.book.events_owned());
+        assert_eq!(a.len(), b.len());
+        for (x, y) in a.iter().zip(&b) {
+            assert_eq!(x.score.to_bits(), y.score.to_bits());
+            assert_eq!((x.driver, x.doc_id, x.doc_date), (y.driver, y.doc_id, y.doc_date));
+            assert_eq!((&x.url, &x.snippet, &x.companies), (&y.url, &y.snippet, &y.companies));
+        }
+        // Re-encoding the materialized mapped book reproduces the
+        // owned book's bytes exactly.
+        let (x, y) = (
+            leads2::encode_book(owned.book.as_owned().expect("owned"), 4),
+            leads2::encode_book(&LeadBook::build(b), 4),
         );
+        assert_eq!((x.index, x.shards), (y.index, y.shards));
+        let _ = std::fs::remove_dir_all(store.root());
+    }
+
+    /// Hand-write generation `generation` the way a text-format build
+    /// did: a `LEADS v1` events file under a manifest of
+    /// `manifest_version`, with an optional `format` record.
+    fn write_text_generation(
+        store: &GenerationStore,
+        generation: u64,
+        manifest_version: u32,
+        format: Option<&str>,
+    ) {
+        let dir = store.root().join(format!("gen-{generation}"));
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut leads = Writer::new("LEADS", 1);
+        leads.record(["count", "0"]);
+        let leads = leads.finish();
+        std::fs::write(dir.join("events.leads"), &leads).unwrap();
+        let mut manifest = Writer::new(MANIFEST_KIND, manifest_version);
+        manifest.record(["generation", &generation.to_string()]);
+        manifest.record(["window", "3"]);
+        manifest.record(["events", "0"]);
+        if let Some(format) = format {
+            manifest.record(["format", format]);
+        }
+        let sum = format!("{:016x}", etap_persist::fnv1a64(leads.as_bytes()));
+        manifest.record(["file", "events.leads", &sum, &leads.len().to_string()]);
+        std::fs::write(dir.join("MANIFEST"), manifest.finish()).unwrap();
+    }
+
+    #[test]
+    fn text_generations_are_skipped_naming_the_dropped_format() {
+        let store = temp_store("textdropped");
+        store.publish(&snapshot(1, 3)).expect("publish 1");
+        write_text_generation(&store, 2, 1, None);
+        write_text_generation(&store, 3, 2, None);
+        write_text_generation(&store, 4, 2, Some("text"));
+        for generation in 2..=4 {
+            match store.load(generation) {
+                Err(StoreError::Invalid(msg)) => {
+                    assert!(msg.contains("LEADS v1 text"), "gen {generation}: {msg}");
+                }
+                other => panic!("gen {generation}: expected Invalid, got {other:?}"),
+            }
+        }
+        let (loaded, skipped) = store.load_latest().expect("scan").expect("gen 1");
+        assert_eq!(loaded.generation, 1);
+        assert_eq!(skipped.iter().map(|(g, _)| *g).collect::<Vec<_>>(), vec![4, 3, 2]);
+        assert!(skipped.iter().all(|(_, why)| why.contains("no longer supported")));
         let _ = std::fs::remove_dir_all(store.root());
     }
 
@@ -868,8 +906,8 @@ mod tests {
         store.publish(&snapshot(1, 3)).expect("publish 1");
         store.publish(&snapshot(2, 4)).expect("publish 2");
         store.publish(&snapshot(3, 5)).expect("publish 3");
-        // Corrupt generation 3's event file (flip a byte, keep length).
-        let victim = store.root().join("gen-3").join(EVENTS_FILE);
+        // Corrupt generation 3's index (flip a byte, keep length).
+        let victim = store.root().join("gen-3").join(INDEX_FILE);
         let mut bytes = std::fs::read(&victim).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x01;
@@ -899,16 +937,17 @@ mod tests {
         let store = temp_store("dupentry");
         store.publish(&snapshot(1, 2)).expect("publish");
         let dir = store.root().join("gen-1");
-        let events_path = dir.join(EVENTS_FILE);
-        let contents = std::fs::read_to_string(&events_path).unwrap();
+        let index = std::fs::read(dir.join(INDEX_FILE)).unwrap();
         let mut manifest = Writer::new(MANIFEST_KIND, MANIFEST_VERSION);
         manifest.record(["generation", "1"]);
         manifest.record(["window", "3"]);
         manifest.record(["events", "2"]);
-        let sum = format!("{:016x}", etap_persist::fnv1a64(contents.as_bytes()));
-        let size = contents.len().to_string();
-        manifest.record(["file", EVENTS_FILE, &sum, &size]);
-        manifest.record(["file", EVENTS_FILE, &sum, &size]);
+        manifest.record(["format", "binary"]);
+        manifest.record(["shards", &leads2::DEFAULT_SHARDS.to_string()]);
+        let sum = format!("{:016x}", etap_persist::fnv1a64(&index));
+        let size = index.len().to_string();
+        manifest.record(["file", INDEX_FILE, &sum, &size]);
+        manifest.record(["file", INDEX_FILE, &sum, &size]);
         std::fs::write(dir.join("MANIFEST"), manifest.finish()).unwrap();
         match store.load(1) {
             Err(StoreError::Invalid(msg)) => assert!(msg.contains("twice"), "{msg}"),
@@ -1034,8 +1073,9 @@ mod tests {
         // Simulate a crash mid-publish: a .tmp dir with payload but no
         // completed rename.
         let tmp = store.root().join("gen-2.tmp");
-        std::fs::create_dir_all(&tmp).unwrap();
-        std::fs::write(tmp.join(EVENTS_FILE), "partial").unwrap();
+        std::fs::create_dir_all(tmp.join(SHARD_DIR)).unwrap();
+        std::fs::write(tmp.join(INDEX_FILE), "partial").unwrap();
+        std::fs::write(tmp.join(shard_file(0)), "partial").unwrap();
         assert_eq!(store.generations().unwrap(), vec![1]);
         let (loaded, skipped) = store.load_latest().expect("scan").expect("valid");
         assert_eq!(loaded.generation, 1);

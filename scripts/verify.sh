@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification + pipeline throughput gate + serve smoke test.
 #
-# 1. `cargo build --release && cargo test -q` (the repo's tier-1 bar);
+# 1. `cargo build --release && cargo test -q` (the repo's tier-1 bar),
+#    then the whole workspace: `cargo build --workspace --all-targets`
+#    (benches and examples included) and `cargo test --workspace`;
 # 2. the throughput benchmark (writes BENCH_pipeline.json with 1/2/4-
 #    thread docs/sec and a per-stage ms breakdown);
 # 3. perf gate: fails if (a) the 2-/4-thread speedups fall below
@@ -25,7 +27,13 @@
 #    kill -9s it mid-cycle, and fails unless a warm restart serves the
 #    last sealed generation byte-for-byte and a fault-free watch run
 #    then converges back to healthy with the generation counter still
-#    monotone; also runs bench_watch (writes BENCH_watch.json).
+#    monotone; also runs bench_watch (writes BENCH_watch.json);
+# 7. scale: bench_scale (writes BENCH_scale.json) gates the mmap warm
+#    start at >= 10x an owned rebuild of the same generation and the
+#    incremental publish; then a book served from memory must serve
+#    byte-identical /leads after its LEADS v2 warm start, across kill -9;
+# 8. drivers as data: DRIVERS file -> train -> publish -> crash and
+#    thread-count parity of the served custom-driver leads.
 #
 # On a single-core host the parallel path cannot be faster — the gate
 # then only requires that the fan-out overhead stays small (speedup
@@ -36,6 +44,11 @@ cd "$(dirname "$0")/.."
 echo "== tier 1: cargo build --release && cargo test -q =="
 cargo build --release
 cargo test -q
+
+echo
+echo "== workspace: cargo build --workspace --all-targets && cargo test --workspace =="
+cargo build --workspace --all-targets
+cargo test -q --workspace
 
 echo
 echo "== throughput: bench_throughput (writes BENCH_pipeline.json) =="
@@ -197,16 +210,19 @@ cargo run -q --release --bin etap-cli -- \
     publish --store "$store_dir" --extend --docs 60 --seed 11 >/dev/null
 echo "published generations: $(ls "$store_dir" | tr '\n' ' ')"
 
-# boot_store <logfile>: warm-start a server from the store; sets the
-# globals $server_pid and $base (no subshell — both must survive).
+# boot_store <logfile> [serve args…]: start a server on the store
+# (warm when it holds a valid generation); sets the globals $server_pid
+# and $base (no subshell — both must survive).
 boot_store() {
-    : >"$1"
+    local log=$1
+    shift
+    : >"$log"
     cargo run -q --release --bin etap-cli -- \
-        serve --store "$store_dir" --addr 127.0.0.1:0 >"$1" 2>/dev/null &
+        serve --store "$store_dir" --addr 127.0.0.1:0 "$@" >"$log" 2>/dev/null &
     server_pid=$!
     base=""
     for _ in $(seq 1 50); do
-        base=$(sed -n 's/^listening on \(http:\/\/[0-9.:]*\)$/\1/p' "$1")
+        base=$(sed -n 's/^listening on \(http:\/\/[0-9.:]*\)$/\1/p' "$log")
         [ -n "$base" ] && break
         kill -0 "$server_pid" 2>/dev/null \
             || { echo "FAIL: warm serve exited early" >&2; exit 1; }
@@ -335,8 +351,9 @@ scale_cleanup() {
 trap 'cleanup; chaos_cleanup; scale_cleanup' EXIT
 
 # bench_scale streams the corpus (never materializing it), publishes the
-# same book as LEADS v1 text and sharded LEADS v2 binary, republishes a
-# small extension incrementally, and measures parse-vs-mmap warm starts.
+# book as sharded LEADS v2, republishes a small extension incrementally,
+# and measures the mmap warm start against an owned rebuild (load +
+# materialize + LeadBook::build) of the same generation.
 # CI-bounded to 100k docs; override with ETAP_SCALE_DOCS for the full
 # million-document run recorded in the committed BENCH_scale.json.
 ETAP_SCALE_DOCS="${ETAP_SCALE_DOCS:-100000}" \
@@ -358,10 +375,10 @@ n_shards=$(jnum BENCH_scale.json shards)
 dirty_shards=$(jnum BENCH_scale.json extend_dirty_shards)
 linked_files=$(jnum BENCH_scale.json extend_linked_files)
 
-# The two acceptance gates: mmap warm start >= 10x the parsed one, and
+# The two acceptance gates: mmap warm start >= 10x the owned rebuild, and
 # the dirty-shard incremental publish writing strictly fewer bytes (and
 # rewriting strictly fewer shards) than the full rebuild it replaces.
-sgate "warm_speedup (mmap vs parse)" "$warm_speedup" 10
+sgate "warm_speedup (mmap vs owned rebuild)" "$warm_speedup" 10
 if [ "$(awk -v e="$extend_bytes" -v f="$v2_bytes" 'BEGIN { print (e < f) ? 1 : 0 }')" -ne 1 ]; then
     echo "FAIL: incremental publish wrote ${extend_bytes} B >= full publish ${v2_bytes} B" >&2
     scale_fail=1
@@ -379,28 +396,34 @@ if [ "$scale_fail" -ne 0 ]; then
     exit 1
 fi
 
-# End to end across formats: the same crawl published as v1 text and
-# re-published as sharded v2 must serve byte-identical /leads — across
-# a kill -9 and an mmap-backed warm restart.
-cargo run -q --release --bin etap-cli -- \
-    publish --store "$scale_store" --models "$smoke_models" --docs 120 >/dev/null
-cargo run -q --release --bin etap-cli -- \
-    publish --store "$scale_store" --models "$smoke_models" --docs 120 \
-    --format v2 --shards 8 >/dev/null
-
+# End to end, owned vs mapped: a cold serve builds the crawl's book in
+# process, serves it from memory and seals it in the empty store as
+# LEADS v2; the warm restart must serve byte-identical /leads from the
+# mmap, across a kill -9 too.
 old_store_dir=$store_dir
 store_dir=$scale_store
+boot_store "$smoke_log" --models "$smoke_models" --docs 120
+scale_leads_owned=$(curl -fsS "$base/leads?top=100")
+scale_mmap=$(curl -fsS "$base/metrics" | sed -n 's/^etap_mmap_generations \([0-9]*\)$/\1/p')
+[ "$scale_mmap" = "0" ] \
+    || { echo "FAIL: cold serve is not serving its in-process book (etap_mmap_generations=${scale_mmap})" >&2; exit 1; }
+kill -9 "$server_pid" 2>/dev/null || true
+wait "$server_pid" 2>/dev/null || true
+server_pid=""
+
 boot_store "$smoke_log"
 scale_leads_v2=$(curl -fsS "$base/leads?top=100")
 scale_gen=$(curl -fsS "$base/healthz" | sed -n 's/.*"generation": \([0-9]*\).*/\1/p')
 scale_mmap=$(curl -fsS "$base/metrics" | sed -n 's/^etap_mmap_generations \([0-9]*\)$/\1/p')
-[ "$scale_gen" = "2" ] \
-    || { echo "FAIL: scale warm start served generation ${scale_gen}, expected 2" >&2; exit 1; }
+[ "$scale_gen" = "1" ] \
+    || { echo "FAIL: scale warm start served generation ${scale_gen}, expected 1" >&2; exit 1; }
 [ "$scale_mmap" = "1" ] \
     || { echo "FAIL: v2 warm start is not serving from an mmap (etap_mmap_generations=${scale_mmap})" >&2; exit 1; }
 kill -9 "$server_pid" 2>/dev/null || true
 wait "$server_pid" 2>/dev/null || true
 server_pid=""
+[ "$scale_leads_owned" = "$scale_leads_v2" ] \
+    || { echo "FAIL: /leads differs between the in-process book and its v2 warm start" >&2; exit 1; }
 
 boot_store "$smoke_log"
 scale_leads_again=$(curl -fsS "$base/leads?top=100")
@@ -411,16 +434,18 @@ store_dir=$old_store_dir
 [ "$scale_leads_v2" = "$scale_leads_again" ] \
     || { echo "FAIL: /leads differs across kill -9 + mmap warm restart" >&2; exit 1; }
 
-# Byte parity v1 vs v2: gen 1 (text) and gen 2 (binary) hold the same
-# crawl, so the CLI multiset diff must be empty.
+# The same crawl re-published under another shard count holds the same
+# events, so the CLI multiset diff against generation 1 must be empty.
+cargo run -q --release --bin etap-cli -- \
+    publish --store "$scale_store" --models "$smoke_models" --docs 120 --shards 8 >/dev/null
 cargo run -q --release --bin etap-cli -- \
     diff --store "$scale_store" --from 1 --to 2 \
     | grep -q "(+0 / -0)" \
-    || { echo "FAIL: v1 and v2 generations of the same crawl disagree" >&2; exit 1; }
-echo "scale: v1/v2 byte parity, mmap warm start survives kill -9 (generation ${scale_gen})"
+    || { echo "FAIL: two generations of the same crawl disagree" >&2; exit 1; }
+echo "scale: owned/mapped byte parity, mmap warm start survives kill -9 (generation ${scale_gen})"
 
 echo
-echo "== drivers as data: DRIVERS file -> train -> publish v2 -> crash + thread parity =="
+echo "== drivers as data: DRIVERS file -> train -> publish -> crash + thread parity =="
 drv_models=$(mktemp -d)
 drv_store=$(mktemp -d)
 drv_store4=$(mktemp -d)
@@ -448,7 +473,7 @@ cargo run -q --release --bin etap-cli -- \
 # travel in the book's code table).
 ETAP_THREADS=1 cargo run -q --release --bin etap-cli -- \
     publish --store "$drv_store" --models "$drv_models" --docs 150 \
-    --drivers drivers/extra.drivers --format v2 --shards 4 >/dev/null
+    --drivers drivers/extra.drivers --shards 4 >/dev/null
 
 # Warm-start WITHOUT --drivers: the sealed v2 book is self-describing,
 # so the server must resolve the custom keys from the code table alone.
@@ -479,7 +504,7 @@ echo "drivers: funding-rounds /leads byte-identical across kill -9"
 # that serves bit-identical /leads for the custom driver.
 ETAP_THREADS=4 cargo run -q --release --bin etap-cli -- \
     publish --store "$drv_store4" --models "$drv_models" --docs 150 \
-    --drivers drivers/extra.drivers --format v2 --shards 4 >/dev/null
+    --drivers drivers/extra.drivers --shards 4 >/dev/null
 store_dir=$drv_store4
 boot_store "$smoke_log"
 drv_leads_4t=$(curl -fsS "$base/leads?driver=funding-rounds&top=50")

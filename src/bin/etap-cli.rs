@@ -9,7 +9,7 @@
 //! etap-cli serve --models models/ [--store leads/] [--addr 127.0.0.1:8787]
 //! etap-cli watch --store leads/ [--models models/] [--cycles N] [--interval-ms 1000]
 //! etap-cli publish --models models/ --store leads/ [--docs 300] [--seed 7] [--extend]
-//!                  [--format v1|v2] [--shards 16]
+//!                  [--shards 16]
 //! etap-cli generations --store leads/
 //! etap-cli diff --store leads/ [--from N] [--to M]
 //! ```
@@ -20,11 +20,12 @@
 //! lead snapshot and serves it over HTTP (see `etap-serve`).
 //!
 //! The persistence subcommands work a durable generation store (see
-//! `etap_serve::GenerationStore`): `publish` writes a new generation
-//! (full rebuild, or `--extend` to merge a document delta into the
-//! newest stored generation), `generations` lists what is on disk with
-//! validity, and `diff` summarizes what changed between two
-//! generations. `serve --store` warm-starts from the newest valid
+//! `etap_serve::GenerationStore`): `publish` seals a new generation as
+//! sharded `LEADS v2` (full rebuild, or `--extend` to merge a document
+//! delta into the newest stored generation), `generations` lists what
+//! is on disk with validity, and `diff` summarizes what changed between
+//! two generations. Generations in the dropped text `LEADS v1` format
+//! list as INVALID and are skipped at warm start. `serve --store` warm-starts from the newest valid
 //! generation — no crawl, no retrain — and persists every later
 //! publish.
 //!
@@ -161,8 +162,8 @@ USAGE:
                  [--blend F] [--stage-timeout-ms N] [--degrade-after N]
                  [--drivers FILE]
   etap-cli publish --store <dir> [--models <dir>] [--docs N] [--seed N]
-                   [--window N] [--extend] [--keep N] [--format v1|v2]
-                   [--shards N] [--drivers FILE]
+                   [--window N] [--extend] [--keep N] [--shards N]
+                   [--drivers FILE]
   etap-cli generations --store <dir>
   etap-cli diff --store <dir> [--from GEN] [--to GEN]
   etap-cli example-drivers [--out FILE]
@@ -479,6 +480,7 @@ fn cmd_serve(opts: &Opts) -> Result<(), CliError> {
 }
 
 fn cmd_watch(opts: &Opts) -> Result<(), CliError> {
+    use etap_repro::runtime::supervise::Supervisor;
     use etap_repro::serve::{watch, GenerationStore, LeadSnapshot, ServeConfig, WatchConfig};
     use std::sync::Arc;
     use std::time::Duration;
@@ -497,6 +499,32 @@ fn cmd_watch(opts: &Opts) -> Result<(), CliError> {
     }
 
     load_driver_file(opts)?;
+    let mut config = WatchConfig {
+        interval: Duration::from_millis(opts.usize_or("interval-ms", 1_000) as u64),
+        poll_docs: opts.usize_or("docs", 80),
+        poll_seed: opts.usize_or("seed", 0x011A_7C4) as u64,
+        drivers: DriverSet::all_registered(),
+        ..WatchConfig::default()
+    };
+    if let Some(cycles) = opts.get("cycles") {
+        let n: u64 = cycles.parse().map_err(|_| "bad --cycles value")?;
+        config.cycles = Some(n);
+    }
+    if let Some(ms) = opts.get("stage-timeout-ms") {
+        let ms: u64 = ms.parse().map_err(|_| "bad --stage-timeout-ms value")?;
+        config.stage_timeout = Duration::from_millis(ms);
+    }
+    if let Some(n) = opts.get("degrade-after") {
+        config.degrade_after = n.parse().map_err(|_| "bad --degrade-after value")?;
+    }
+    if let Some(blend) = opts.get("blend") {
+        let b: f64 = blend.parse().map_err(|_| "bad --blend value")?;
+        if !(0.0..=1.0).contains(&b) {
+            return Err("--blend must be in [0, 1]".into());
+        }
+        config.prior_blend = b;
+    }
+
     let root = PathBuf::from(opts.get("store").ok_or("--store <dir> required")?);
     let keep = opts.usize_or("keep", 4).max(1);
     let store = GenerationStore::open(&root)
@@ -530,7 +558,18 @@ fn cmd_watch(opts: &Opts) -> Result<(), CliError> {
             });
             eprintln!("cold start: building generation 1 from {docs} documents…");
             let snapshot = Arc::new(LeadSnapshot::build(trained, crawl.docs(), 1));
-            store.publish(&snapshot).map_err(io_err)?;
+            // Sealed under the retry policy of a cycle's publish stage:
+            // one transient write failure must not end the daemon
+            // before it serves.
+            let (root, sealed) = (root.clone(), Arc::clone(&snapshot));
+            Supervisor::new(config.retry.clone(), config.degrade_after)
+                .stage("publish", config.stage_timeout, move || {
+                    GenerationStore::open(&root)
+                        .and_then(|store| store.publish(&sealed))
+                        .map(drop)
+                        .map_err(|e| e.to_string())
+                })
+                .map_err(|e| CliError::TransientIo(e.to_string()))?;
             snapshot
         }
     };
@@ -548,32 +587,6 @@ fn cmd_watch(opts: &Opts) -> Result<(), CliError> {
     println!("listening on http://{}", server.addr());
     use std::io::Write as _;
     let _ = std::io::stdout().flush();
-
-    let mut config = WatchConfig {
-        interval: Duration::from_millis(opts.usize_or("interval-ms", 1_000) as u64),
-        poll_docs: opts.usize_or("docs", 80),
-        poll_seed: opts.usize_or("seed", 0x011A_7C4) as u64,
-        drivers: DriverSet::all_registered(),
-        ..WatchConfig::default()
-    };
-    if let Some(cycles) = opts.get("cycles") {
-        let n: u64 = cycles.parse().map_err(|_| "bad --cycles value")?;
-        config.cycles = Some(n);
-    }
-    if let Some(ms) = opts.get("stage-timeout-ms") {
-        let ms: u64 = ms.parse().map_err(|_| "bad --stage-timeout-ms value")?;
-        config.stage_timeout = Duration::from_millis(ms);
-    }
-    if let Some(n) = opts.get("degrade-after") {
-        config.degrade_after = n.parse().map_err(|_| "bad --degrade-after value")?;
-    }
-    if let Some(blend) = opts.get("blend") {
-        let b: f64 = blend.parse().map_err(|_| "bad --blend value")?;
-        if !(0.0..=1.0).contains(&b) {
-            return Err("--blend must be in [0, 1]".into());
-        }
-        config.prior_blend = b;
-    }
 
     if config.cycles == Some(0) {
         // Serve-only: keep the warm-started generation up without
@@ -611,25 +624,14 @@ fn open_store(opts: &Opts) -> Result<etap_repro::serve::GenerationStore, CliErro
 }
 
 fn cmd_publish(opts: &Opts) -> Result<(), CliError> {
-    use etap_repro::serve::LeadSnapshot;
+    use etap_repro::serve::{LeadSnapshot, LeadsFormat};
+    use etap_repro::system::leads2::DEFAULT_SHARDS;
     use std::sync::Arc;
 
     load_driver_file(opts)?;
-    let store = open_store(opts)?;
-    // `--format v2` seals the book as sharded binary `LEADS v2`
-    // (mmap'd, zero-copy at load); v1 text stays the default.
-    let store = match opts.get("format") {
-        None | Some("v1") | Some("text") => store,
-        Some("v2") | Some("binary") => {
-            let shards = opts.usize_or("shards", 16).max(1) as u32;
-            store.with_leads_format(etap_repro::serve::LeadsFormat::Binary { shards })
-        }
-        Some(other) => {
-            return Err(CliError::Usage(format!(
-                "unknown --format {other:?} (use v1|v2)"
-            )))
-        }
-    };
+    // The book is sealed as sharded `LEADS v2`: mmap'd, zero-copy at load.
+    let shards = opts.usize_or("shards", DEFAULT_SHARDS as usize).max(1) as u32;
+    let store = open_store(opts)?.with_leads_format(LeadsFormat::Binary { shards });
     let keep = opts.usize_or("keep", 4);
     let newest_valid = store
         .load_latest()
@@ -727,9 +729,8 @@ fn cmd_diff(opts: &Opts) -> Result<(), CliError> {
     let newer = store.load(to).map_err(store_err)?;
 
     // Events carry no identity beyond their content, so the diff is a
-    // multiset difference over the full event value. `events_owned`
-    // materializes mapped (v2) books, so v1 and v2 generations diff
-    // uniformly.
+    // multiset difference over the full event value, materialized out
+    // of the two mapped books.
     let older_events = older.book.events_owned();
     let newer_events = newer.book.events_owned();
     let mut remaining: Vec<&etap_repro::TriggerEvent> = older_events.iter().collect();

@@ -1,8 +1,10 @@
 //! End-to-end test of the `etap-cli` binary: train → persist → scan →
 //! score → companies, all through the real executable.
 
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::TcpStream;
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 fn cli() -> Command {
     Command::new(env!("CARGO_BIN_EXE_etap-cli"))
@@ -243,21 +245,45 @@ fn publish_generations_diff_workflow() {
     let _ = std::fs::remove_dir_all(&store);
 }
 
+/// Run `etap-cli serve <args>` until it prints its address, fetch one
+/// path with a `Connection: close` GET, kill the server, and return the
+/// whole HTTP response.
+fn serve_and_get(args: &[&str], path: &str) -> String {
+    let mut server = cli()
+        .arg("serve")
+        .args(args)
+        .args(["--addr", "127.0.0.1:0"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn serve");
+    let mut line = String::new();
+    BufReader::new(server.stdout.take().expect("stdout"))
+        .read_line(&mut line)
+        .expect("read address");
+    let addr = line
+        .trim()
+        .strip_prefix("listening on http://")
+        .unwrap_or_else(|| panic!("no address line: {line:?}"))
+        .to_string();
+    let mut stream = TcpStream::connect(&addr).expect("connect");
+    write!(stream, "GET {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n")
+        .expect("write request");
+    let mut response = String::new();
+    stream.read_to_string(&mut response).expect("read response");
+    let _ = server.kill();
+    let _ = server.wait();
+    response
+}
+
 #[test]
-fn v1_and_v2_generations_of_same_crawl_diff_to_zero() {
+fn owned_and_mapped_generations_of_same_crawl_diff_to_zero() {
     let models = temp_model_dir("fmt_models");
     let store = temp_model_dir("fmt_store");
+    let (models_arg, store_arg) = (models.to_str().unwrap(), store.to_str().unwrap());
 
     let out = cli()
-        .args([
-            "train",
-            "--out",
-            models.to_str().unwrap(),
-            "--docs",
-            "900",
-            "--driver",
-            "cim",
-        ])
+        .args(["train", "--out", models_arg, "--docs", "900", "--driver", "cim"])
         .output()
         .expect("run train");
     assert!(
@@ -266,44 +292,26 @@ fn v1_and_v2_generations_of_same_crawl_diff_to_zero() {
         String::from_utf8_lossy(&out.stderr)
     );
 
-    // Generation 1: the same crawl in LEADS v1 text.
-    let out = cli()
-        .args([
-            "publish",
-            "--store",
-            store.to_str().unwrap(),
-            "--models",
-            models.to_str().unwrap(),
-            "--docs",
-            "80",
-        ])
-        .output()
-        .expect("run publish v1");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert!(store.join("gen-1").join("events.leads").exists());
+    // Generation 1: a cold serve builds the book in-process, serves it
+    // from memory and seals it in the empty store as LEADS v2.
+    let crawl = ["--models", models_arg, "--docs", "80"];
+    let mut cold = vec!["--store", store_arg];
+    cold.extend(crawl);
+    let owned = serve_and_get(&cold, "/leads?top=100");
+    assert!(owned.starts_with("HTTP/1.1 200"), "{owned}");
+    assert!(store.join("gen-1").join("book.index").exists());
+    assert!(store.join("gen-1").join("shards").is_dir());
+    assert!(!store.join("gen-1").join("events.leads").exists());
 
-    // Generation 2: identical crawl (same docs, same default seed)
-    // re-published as sharded LEADS v2 binary.
-    let out = cli()
-        .args([
-            "publish",
-            "--store",
-            store.to_str().unwrap(),
-            "--models",
-            models.to_str().unwrap(),
-            "--docs",
-            "80",
-            "--format",
-            "v2",
-            "--shards",
-            "8",
-        ])
-        .output()
-        .expect("run publish v2");
+    // A warm start serves the same bytes from the mapped generation.
+    let mapped = serve_and_get(&["--store", store_arg], "/leads?top=100");
+    assert_eq!(owned, mapped, "in-process and warm-started /leads differ");
+
+    // Generation 2: the identical crawl (same docs, same default seed)
+    // re-published with a different shard count.
+    let mut publish = vec!["publish", "--store", store_arg, "--shards", "8"];
+    publish.extend(crawl);
+    let out = cli().args(&publish).output().expect("run publish");
     assert!(
         out.status.success(),
         "{}",
@@ -312,15 +320,17 @@ fn v1_and_v2_generations_of_same_crawl_diff_to_zero() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
         stdout.contains("published generation 2"),
-        "unexpected v2 publish output: {stdout}"
+        "unexpected publish output: {stdout}"
     );
-    assert!(store.join("gen-2").join("book.index").exists());
-    assert!(store.join("gen-2").join("shards").is_dir());
+    assert_eq!(
+        std::fs::read_dir(store.join("gen-2").join("shards"))
+            .expect("shards dir")
+            .count(),
+        8
+    );
 
-    // Both formats are readable side by side and hold the exact same
-    // multiset of events: the migration contract.
     let out = cli()
-        .args(["generations", "--store", store.to_str().unwrap()])
+        .args(["generations", "--store", store_arg])
         .output()
         .expect("run generations");
     assert!(out.status.success());
@@ -329,7 +339,7 @@ fn v1_and_v2_generations_of_same_crawl_diff_to_zero() {
     assert_eq!(valid_rows, 2, "expected 2 valid generations:\n{stdout}");
 
     let out = cli()
-        .args(["diff", "--store", store.to_str().unwrap()])
+        .args(["diff", "--store", store_arg])
         .output()
         .expect("run diff");
     assert!(
@@ -344,7 +354,7 @@ fn v1_and_v2_generations_of_same_crawl_diff_to_zero() {
         .unwrap_or_else(|| panic!("no diff summary in: {stdout}"));
     assert!(
         summary.ends_with("(+0 / -0)"),
-        "v1 and v2 of the same crawl must agree byte-for-byte: {summary}"
+        "two generations of the same crawl must hold the same events: {summary}"
     );
 
     let _ = std::fs::remove_dir_all(&models);

@@ -1,11 +1,15 @@
-//! End-to-end tests of the persistence layer: model and event-book
-//! round-trips through the `etap-persist` codec, the generation store's
-//! corruption matrix, and the incremental `LeadSnapshot::extend`
-//! bit-identity guarantee that makes warm publishes trustworthy.
+//! End-to-end tests of the persistence layer: model round-trips
+//! through the `etap-persist` codec, lead-book round-trips through
+//! `LEADS v2`, the generation store's corruption matrix, and the
+//! incremental `LeadSnapshot::extend` bit-identity guarantee that makes
+//! warm publishes trustworthy.
 
 use etap_repro::corpus::{SyntheticWeb, WebConfig};
+use etap_repro::persist::{Arena, CodecError};
 use etap_repro::serve::{GenerationStore, LeadSnapshot};
+use etap_repro::system::leads2::{encode_book, EncodedBook, MappedBook, DEFAULT_SHARDS};
 use etap_repro::system::persist;
+use etap_repro::system::LeadBook;
 use etap_repro::{DriverSpec, Etap, EtapConfig, SalesDriver, TrainedEtap};
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
@@ -86,17 +90,27 @@ fn serialized_model_is_v2_codec_with_checksum() {
     assert_eq!(version, 2);
 }
 
+/// Encoded bytes of a book at the store's default shard count — the
+/// bit-exact identity of its contents.
+fn book_bytes(book: &LeadBook) -> EncodedBook {
+    encode_book(book, DEFAULT_SHARDS)
+}
+
 #[test]
 fn lead_book_roundtrips_bit_exactly_through_leads_document() {
     let system = trained();
     let book = system.lead_book(crawl(22, 60).docs());
     assert!(book.len() > 0, "need events to make the test meaningful");
-    let text = persist::book_to_string(&book);
-    let restored = persist::book_from_str(&text).expect("parse book");
+    let encoded = book_bytes(&book);
+    let heap = |bytes: &Vec<u8>| Arc::new(Arena::Heap(bytes.clone()));
+    let mapped = MappedBook::open(heap(&encoded.index), encoded.shards.iter().map(heap).collect())
+        .expect("open mapped book");
+    let restored = LeadBook::build(mapped.events_owned());
     assert_eq!(restored, book);
-    // Re-serialization is byte-identical — the stable fixpoint the
+    // Re-encoding is byte-identical — the stable fixpoint the
     // generation store's checksums rely on.
-    assert_eq!(persist::book_to_string(&restored), text);
+    let again = book_bytes(&restored);
+    assert_eq!((again.index, again.shards), (encoded.index, encoded.shards));
 }
 
 #[test]
@@ -115,12 +129,12 @@ fn extend_is_bit_identical_to_full_rebuild_for_any_thread_count() {
             extended.book, full.book,
             "extend(threads={threads}) diverged from full rebuild"
         );
-        // Byte-identical serialization, not just structural equality.
-        assert_eq!(
-            persist::events_to_string(&extended.book.events_owned()),
-            persist::events_to_string(&full.book.events_owned()),
-            "threads={threads}"
+        // Byte-identical encoding, not just structural equality.
+        let (a, b) = (
+            book_bytes(extended.book.as_owned().expect("extend builds an owned book")),
+            book_bytes(full.book.as_owned().expect("build is owned")),
         );
+        assert_eq!((a.index, a.shards), (b.index, b.shards), "threads={threads}");
     }
 }
 
@@ -149,10 +163,12 @@ fn extend_roundtrips_through_the_store() {
 fn store_corruption_matrix_falls_back_to_newest_valid() {
     let system = trained();
     let corruptions: [(&str, fn(&PathBuf)); 4] = [
-        ("truncated_events", |dir| {
-            let path = dir.join("events.leads");
-            let text = std::fs::read_to_string(&path).unwrap();
-            std::fs::write(&path, &text[..text.len() * 2 / 3]).unwrap();
+        ("truncated_index", |dir| {
+            // The index is always rewritten, never hard-linked, so
+            // truncating it leaves gen 1 intact.
+            let path = dir.join("book.index");
+            let bytes = std::fs::read(&path).unwrap();
+            std::fs::write(&path, &bytes[..bytes.len() * 2 / 3]).unwrap();
         }),
         ("bitflip_manifest", |dir| {
             let path = dir.join("MANIFEST");
@@ -188,8 +204,10 @@ fn store_corruption_matrix_falls_back_to_newest_valid() {
             // Update the manifest entry so only the version differs.
             rewrite_manifest_entry(dir, name.to_str().unwrap(), &forged);
         }),
-        ("deleted_events_file", |dir| {
-            std::fs::remove_file(dir.join("events.leads")).unwrap();
+        ("deleted_shard_file", |dir| {
+            // Unlinking a shard that gen 1 shares by hard link leaves
+            // gen 1's directory entry, and so gen 1, intact.
+            std::fs::remove_file(dir.join("shards").join("shard-00000.leads2")).unwrap();
         }),
     ];
 
@@ -265,7 +283,12 @@ fn generation_vanishing_between_listing_and_read_never_panics() {
     let listed = store.generations().expect("list");
     assert_eq!(listed, vec![1, 2]);
     for entry in std::fs::read_dir(root.join("gen-2")).unwrap() {
-        std::fs::remove_file(entry.unwrap().path()).unwrap();
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            std::fs::remove_dir_all(path).unwrap();
+        } else {
+            std::fs::remove_file(path).unwrap();
+        }
     }
     assert!(store.load(2).is_err(), "emptied generation must not load");
     let (loaded, skipped) = store
@@ -316,22 +339,33 @@ fn rewrite_manifest_entry(dir: &PathBuf, name: &str, contents: &str) {
 }
 
 #[test]
-fn legacy_v1_model_files_still_serve() {
-    // A v1 file written by hand in the old format must load and be
-    // usable inside a TrainedEtap (the upgrade path for existing model
-    // directories).
+fn legacy_v1_model_files_fail_with_a_typed_error() {
+    // The pre-codec `ETAP-MODEL v1` format is no longer read: a file
+    // written by hand in it must fail with a typed codec error, from a
+    // model directory and from inside a stored generation alike.
     let mut v1 = String::from("ETAP-MODEL v1\ndriver revenue_growth\n");
     v1.push_str("bigrams false\nprior -0.7 -0.7\nunseen -9.0 -9.0\nfeatures 2\n");
     v1.push_str("revenue\t-1.0\t-5.0\ngrowth\t-1.2\t-5.2\n");
     let dir = temp_dir("legacy");
     let path = dir.join("revenue_growth.model");
     std::fs::write(&path, &v1).unwrap();
-    let restored = persist::load(&path).expect("legacy load");
-    assert_eq!(restored.spec.driver, SalesDriver::RevenueGrowth);
-    // Saving it back upgrades to v2.
-    persist::save(&restored, &path).expect("resave");
-    let upgraded = std::fs::read_to_string(&path).unwrap();
-    assert!(upgraded.starts_with("ETAP MODEL v2\n"));
-    assert!(persist::load(&path).is_ok());
+    assert!(matches!(persist::load(&path), Err(CodecError::Truncated)));
+
+    let root = dir.join("store");
+    let store = GenerationStore::open(&root).expect("open");
+    let gen1 = LeadSnapshot::build(trained(), crawl(70, 30).docs(), 1);
+    store.publish(&gen1).expect("publish 1");
+    let model = std::fs::read_dir(root.join("gen-1"))
+        .unwrap()
+        .filter_map(Result::ok)
+        .map(|e| e.path())
+        .find(|p| p.extension().is_some_and(|x| x == "model"))
+        .expect("a model file");
+    std::fs::write(&model, &v1).unwrap();
+    rewrite_manifest_entry(&root.join("gen-1"), model.file_name().unwrap().to_str().unwrap(), &v1);
+    match store.load(1) {
+        Err(etap_repro::serve::StoreError::Codec(CodecError::Truncated)) => {}
+        other => panic!("expected a typed codec error, got {:?}", other.map(|s| s.generation)),
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

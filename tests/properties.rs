@@ -276,11 +276,13 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// The model parser must reject (not panic on) arbitrary garbage.
+    /// The model parser must reject (not panic on) arbitrary garbage,
+    /// including the dropped pre-codec `ETAP-MODEL v1` format.
     #[test]
     fn persist_parser_is_total(garbage in "\\PC{0,400}") {
         let _ = etap_repro::system::persist::from_str(&garbage);
-        let _ = etap_repro::system::persist::from_str(&format!("ETAP-MODEL v1\n{garbage}"));
+        let v1 = etap_repro::system::persist::from_str(&format!("ETAP-MODEL v1\n{garbage}"));
+        prop_assert!(v1.is_err());
     }
 
     /// Deduplication is idempotent: re-checking any text already seen

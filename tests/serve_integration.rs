@@ -741,8 +741,9 @@ fn corrupt_newest_generation_falls_back_without_panics() {
     server.publish_snapshot(Arc::new(gen2));
     server.shutdown();
 
-    // Corrupt the newest generation's event file on disk.
-    let victim = root.join("gen-2").join("events.leads");
+    // Corrupt the newest generation's ranking index on disk (never a
+    // hard link, so generation 1 keeps its own intact copy).
+    let victim = root.join("gen-2").join("book.index");
     let mut bytes = std::fs::read(&victim).expect("read victim");
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0x01;

@@ -10,7 +10,7 @@ use etap_repro::runtime::fault::{self, FaultPlan, TraceEntry};
 use etap_repro::runtime::supervise::RetryPolicy;
 use etap_repro::serve::{watch, GenerationStore, LeadSnapshot, ServeConfig, WatchConfig};
 use etap_repro::{DriverSpec, Etap, EtapConfig, SalesDriver, TrainedEtap};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
@@ -99,9 +99,23 @@ fn seeded_store(tag: &str) -> (PathBuf, GenerationStore, Arc<LeadSnapshot>) {
 
 const REPLAY_SPEC: &str = "persist.write=io@0.1,corpus.poll=delay:2ms@0.5,retrain=panic@once";
 
+/// The sealed `LEADS v2` book of one generation directory: the index
+/// bytes followed by every shard file's, in shard order.
+fn book_bytes(dir: &Path) -> Vec<u8> {
+    let mut bytes = std::fs::read(dir.join("book.index")).expect("book.index");
+    let mut shards: Vec<PathBuf> = std::fs::read_dir(dir.join("shards"))
+        .expect("shards dir")
+        .map(|e| e.expect("shard entry").path())
+        .collect();
+    shards.sort();
+    for shard in shards {
+        bytes.extend(std::fs::read(shard).expect("shard"));
+    }
+    bytes
+}
+
 /// One faulted watch run: returns the injection trace, the sealed
-/// generations, and the newest sealed generation's `events.leads`
-/// bytes.
+/// generations, and the newest sealed generation's book bytes.
 fn faulted_run(tag: &str, threads: usize) -> (Vec<TraceEntry>, Vec<u64>, Vec<u8>) {
     let (root, store, gen1) = seeded_store(tag);
     let registry = fault::install(&FaultPlan::parse(REPLAY_SPEC, 42).expect("plan"));
@@ -116,8 +130,7 @@ fn faulted_run(tag: &str, threads: usize) -> (Vec<TraceEntry>, Vec<u64>, Vec<u8>
         report.final_generation, newest,
         "served generation must equal the newest sealed one"
     );
-    let bytes =
-        std::fs::read(root.join(format!("gen-{newest}")).join("events.leads")).expect("events");
+    let bytes = book_bytes(&root.join(format!("gen-{newest}")));
     let trace = registry.trace();
     let _ = std::fs::remove_dir_all(&root);
     (trace, generations, bytes)
@@ -135,7 +148,7 @@ fn faulted_watch_replays_identically_across_thread_counts() {
     );
     assert_eq!(trace1, trace4, "injection traces diverged across thread counts");
     assert_eq!(gens1, gens4, "sealed generations diverged");
-    assert_eq!(bytes1, bytes4, "newest sealed events.leads bytes diverged");
+    assert_eq!(bytes1, bytes4, "newest sealed book bytes diverged");
     // The @once panic arm fired exactly once.
     assert_eq!(
         trace1.iter().filter(|e| e.point == "retrain").count(),
@@ -214,7 +227,7 @@ fn restarted_watch_repolls_the_same_batch_for_a_generation() {
         let report = watch::run(&server, &store, &fast_config(1, 0));
         server.shutdown();
         assert_eq!(report.final_generation, 2, "{:?}", report.last_error);
-        sealed.push(std::fs::read(root.join("gen-2").join("events.leads")).expect("events"));
+        sealed.push(book_bytes(&root.join("gen-2")));
         let _ = std::fs::remove_dir_all(&root);
     }
     assert_eq!(sealed[0], sealed[1], "restarted daemon drifted");
