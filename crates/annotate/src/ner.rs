@@ -116,7 +116,7 @@ fn lower_in(text: &str, words: &[&str], scratch: &mut String) -> bool {
         words.iter().any(|w| text.eq_ignore_ascii_case(w))
     } else {
         lower_into(text, scratch);
-        words.iter().any(|w| *w == scratch.as_str())
+        words.contains(&scratch.as_str())
     }
 }
 

@@ -24,8 +24,11 @@
 //!
 //! `stages` is the total ms spent per cycle stage across the steady
 //! run (the same `etap_runtime::perf` timers the pipeline bench uses;
-//! four scoped timers per cycle cost nanoseconds against ms-scale
-//! cycles, so they stay on during the timed run).
+//! a few scoped timers per cycle cost nanoseconds against ms-scale
+//! cycles, so they stay on during the timed run). Besides the four
+//! `watch.*` stages it lists the stages nested in them: the scan
+//! stages and `rank.build` inside `watch.extend`, `persist.publish`
+//! inside `watch.publish`.
 //!
 //! ```sh
 //! cargo run --release -p etap-bench --bin bench_watch
@@ -72,7 +75,7 @@ fn main() {
     let store = GenerationStore::open(&root)
         .expect("open store")
         .with_retention(64);
-    let poll_seed = 0x011A_7C4;
+    let poll_seed = 0x011_A7C4;
     let crawl = SyntheticWeb::generate(WebConfig {
         seed: watch::poll_batch_seed(poll_seed, 1),
         ..WebConfig::with_docs(poll_docs)

@@ -19,6 +19,10 @@
 //! 3. **prefix linking** — a shortened mention (`Veridian`) unifies
 //!    with a longer registered name that extends it (`Veridian
 //!    Systems`), provided the link is unambiguous.
+//!
+//! Every step is a constant number of hash lookups: the prefix link is
+//! indexed by first word rather than found by scanning the registered
+//! names.
 
 use std::collections::HashMap;
 
@@ -54,6 +58,9 @@ pub struct AliasResolver {
     canon: HashMap<String, String>,
     /// acronym → normalized key of the multi-word name it abbreviates.
     acronyms: HashMap<String, String>,
+    /// first word → the one registered multi-word key that starts with
+    /// it, or `None` once two or more do: the prefix-link index.
+    prefixes: HashMap<String, Option<String>>,
 }
 
 impl AliasResolver {
@@ -93,60 +100,73 @@ impl AliasResolver {
     /// ```
     pub fn canonicalize(&mut self, surface: &str) -> String {
         let key = Self::normalize(surface);
+        self.resolve_key(&key, surface).0.to_string()
+    }
+
+    /// [`canonicalize`](Self::canonicalize) for a surface whose key
+    /// [`normalize`](Self::normalize) already computed. Also returns
+    /// whether the answer is *settled*: true once `key` is registered
+    /// (or empty), after which every later call with this key returns
+    /// the same name and leaves the resolver unchanged. Acronym and
+    /// prefix-link answers are never settled: registering a second long
+    /// form turns a unique prefix link into a new company of its own.
+    pub(crate) fn resolve_key<'a>(&'a mut self, key: &str, surface: &'a str) -> (&'a str, bool) {
         if key.is_empty() {
-            return surface.to_string();
+            return (surface, true);
         }
 
         // Exact normalized match.
-        if let Some(display) = self.canon.get(&key) {
-            return display.clone();
+        if self.canon.contains_key(key) {
+            return (&self.canon[key], true);
         }
 
-        // Acronym: single short token, previously registered initials.
-        if !key.contains(' ') && key.len() <= 5 {
-            if let Some(target) = self.acronyms.get(&key) {
-                if let Some(display) = self.canon.get(target) {
-                    return display.clone();
+        if !key.contains(' ') {
+            // Acronym: single short token, previously registered initials.
+            if key.len() <= 5 {
+                let target = self
+                    .acronyms
+                    .get(key)
+                    .filter(|t| self.canon.contains_key(*t));
+                if let Some(target) = target {
+                    return (&self.canon[target], false);
                 }
             }
-        }
-
-        // Prefix link: "veridian" → unique registered "veridian systems".
-        if !key.contains(' ') {
-            let mut matches = self
-                .canon
-                .keys()
-                .filter(|k| k.starts_with(&key) && k[key.len()..].starts_with(' '));
-            if let (Some(only), None) = (matches.next(), matches.next()) {
-                let display = self.canon[only].clone();
-                return display;
+            // Prefix link: "veridian" → unique registered "veridian systems".
+            if let Some(Some(only)) = self.prefixes.get(key) {
+                return (&self.canon[only], false);
             }
-        }
-        // Reverse prefix: registering the LONG form after the short one
-        // ("Veridian" seen, now "Veridian Systems") — unify onto the
-        // existing short entry.
-        if key.contains(' ') {
-            let first = key.split(' ').next().expect("non-empty");
+        } else if let Some((first, _)) = key.split_once(' ') {
+            // Reverse prefix: registering the LONG form after the short
+            // one ("Veridian" seen, now "Veridian Systems") — the long
+            // form inherits the earlier mention's display name and its
+            // key is registered for exact future hits.
             if let Some(display) = self.canon.get(first).cloned() {
-                // Long form inherits the earlier mention's display name;
-                // also register the long key for exact future hits.
-                self.register(&key, display.clone(), surface);
-                return display;
+                self.register(key, display);
+                return (&self.canon[key], true);
             }
         }
 
         // New company: register surface as the canonical display.
-        let display = surface.trim().to_string();
-        self.register(&key, display.clone(), surface);
-        display
+        self.register(key, surface.trim().to_string());
+        (&self.canon[key], true)
     }
 
-    fn register(&mut self, key: &str, display: String, _surface: &str) {
-        // Acronym index for multi-word names.
-        if key.contains(' ') {
+    /// Register an unseen `key`.
+    fn register(&mut self, key: &str, display: String) {
+        if let Some((first, _)) = key.split_once(' ') {
+            // Acronym index for multi-word names.
             let acro: String = key.split(' ').filter_map(|w| w.chars().next()).collect();
             if acro.len() >= 2 {
                 self.acronyms.entry(acro).or_insert_with(|| key.to_string());
+            }
+            // Prefix-link index: a second long form under the same first
+            // word makes the short form ambiguous.
+            match self.prefixes.get_mut(first) {
+                Some(only) => *only = None,
+                None => {
+                    self.prefixes
+                        .insert(first.to_string(), Some(key.to_string()));
+                }
             }
         }
         self.canon.insert(key.to_string(), display);

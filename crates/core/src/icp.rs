@@ -168,12 +168,11 @@ pub fn score(company: &str, config: &IcpConfig) -> IcpScore {
     let w = config.weights;
     let total_w = (w.industry + w.size + w.region).max(f64::MIN_POSITIVE);
 
-    let industry_fit = if config.industries.is_empty() {
-        1.0
-    } else if config
-        .industries
-        .iter()
-        .any(|t| t.eq_ignore_ascii_case(profile.industry))
+    let industry_fit = if config.industries.is_empty()
+        || config
+            .industries
+            .iter()
+            .any(|t| t.eq_ignore_ascii_case(profile.industry))
     {
         1.0
     } else {
@@ -191,12 +190,11 @@ pub fn score(company: &str, config: &IcpConfig) -> IcpScore {
         )
     };
 
-    let region_fit = if config.regions.is_empty() {
-        1.0
-    } else if config
-        .regions
-        .iter()
-        .any(|t| t.eq_ignore_ascii_case(profile.region))
+    let region_fit = if config.regions.is_empty()
+        || config
+            .regions
+            .iter()
+            .any(|t| t.eq_ignore_ascii_case(profile.region))
     {
         1.0
     } else {

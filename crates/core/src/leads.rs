@@ -16,9 +16,12 @@
 
 use crate::aliases::AliasResolver;
 use crate::events::TriggerEvent;
-use crate::rank::{self, CompanyScore};
+use crate::rank::{self, grow, CompanyNames, CompanyScore};
 use etap_corpus::SalesDriver;
+use etap_runtime::perf::Stage;
 use std::collections::HashMap;
+
+static STAGE_BUILD: Stage = Stage::new("rank.build");
 
 /// An immutable, query-ready index over ranked trigger events.
 #[derive(Debug, Clone, PartialEq)]
@@ -38,36 +41,95 @@ pub struct LeadBook {
 impl LeadBook {
     /// Build the book from identified events: rank globally, per driver,
     /// and per company (alias-resolved, Eq. 2).
+    ///
+    /// Cost: one sort of the events, then O(mentions) hash lookups and
+    /// O(distinct company surfaces) string work — each distinct surface
+    /// is normalized once and resolved through indexed alias maps.
     #[must_use]
     pub fn build(events: Vec<TriggerEvent>) -> Self {
+        let _t = STAGE_BUILD.scope();
         let events = rank::rank_by_score(events);
+        let by_driver = rank::driver_rankings(&events);
+        let mut book = Self {
+            events,
+            by_driver,
+            companies: Vec::new(),
+            by_company: HashMap::new(),
+            name_keys: HashMap::new(),
+        };
+        book.index_companies();
+        book
+    }
 
-        let mut by_driver: Vec<(SalesDriver, Vec<usize>)> = Vec::new();
-        for (i, e) in events.iter().enumerate() {
-            match by_driver.iter_mut().find(|(d, _)| *d == e.driver) {
-                Some((_, idxs)) => idxs.push(i),
-                None => by_driver.push((e.driver, vec![i])),
-            }
-        }
-        by_driver.sort_by_key(|(d, _)| *d);
-
+    /// Fill the company ranking, per-company event lists and name-lookup
+    /// keys. Two passes over one resolver: the Eq. 2 ranking (driver
+    /// order), then a pass in global rank order that files every mention
+    /// under the canonical name the resolver gives it *then*, and
+    /// records `normalize(surface)` and `normalize(canonical)` as lookup
+    /// keys, the later mention winning a shared key. Both passes run on
+    /// interned ids; the string maps are materialized once at the end.
+    fn index_companies(&mut self) {
+        let events = &self.events;
         let mut resolver = AliasResolver::new();
-        let companies = rank::rank_companies_resolved(&events, &mut resolver);
+        let mut names = CompanyNames::new(Some(&mut resolver));
+        let mentions = names.intern(events);
+        self.companies = rank::rank_companies_in(&self.by_driver, &mentions, &mut names);
 
-        let mut by_company: HashMap<String, Vec<usize>> = HashMap::new();
-        let mut name_keys: HashMap<String, String> = HashMap::new();
-        for (i, e) in events.iter().enumerate() {
-            for surface in &e.companies {
-                let canonical = resolver.canonicalize(surface);
-                let idxs = by_company.entry(canonical.clone()).or_default();
+        // Per canonical id: its events. Per surface / canonical id: the
+        // ordinal of the last mention that wrote its lookup key (and,
+        // for a surface, the canonical id written). A mention's two
+        // writes carry the same value, so they may share an ordinal.
+        let mut by_company: Vec<Vec<usize>> = Vec::new();
+        let mut surface_writes: Vec<Option<(usize, usize)>> = Vec::new();
+        let mut canon_writes: Vec<Option<usize>> = Vec::new();
+        let mut mention = 0;
+        for i in 0..events.len() {
+            for &s in mentions.of(i) {
+                let c = names.canonical(s);
+                let idxs = grow(&mut by_company, c);
                 if idxs.last() != Some(&i) {
                     idxs.push(i);
                 }
-                name_keys.insert(AliasResolver::normalize(surface), canonical.clone());
-                name_keys.insert(AliasResolver::normalize(&canonical), canonical);
+                *grow(&mut surface_writes, s) = Some((mention, c));
+                *grow(&mut canon_writes, c) = Some(mention);
+                mention += 1;
             }
         }
 
+        let mut writes: Vec<(usize, String, usize)> =
+            surface_writes
+                .iter()
+                .enumerate()
+                .filter_map(|(s, w)| w.map(|(at, c)| (at, names.key(s).to_string(), c)))
+                .chain(canon_writes.iter().enumerate().filter_map(|(c, w)| {
+                    w.map(|at| (at, AliasResolver::normalize(names.canon(c)), c))
+                }))
+                .collect();
+        writes.sort_unstable_by_key(|w| w.0);
+        self.name_keys = HashMap::with_capacity(writes.len());
+        for (_, key, c) in writes {
+            self.name_keys.insert(key, names.canon(c).to_string());
+        }
+        self.by_company = by_company
+            .into_iter()
+            .enumerate()
+            .filter(|(_, idxs)| !idxs.is_empty())
+            .map(|(c, idxs)| (names.canon(c).to_string(), idxs))
+            .collect();
+    }
+
+    /// Assemble a book from precomputed parts, unchecked. Not part of
+    /// the stable API: it exists so the parity suite can compare
+    /// [`build`](Self::build) against a reference implementation.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn from_parts(
+        events: Vec<TriggerEvent>,
+        by_driver: Vec<(SalesDriver, Vec<usize>)>,
+        companies: Vec<CompanyScore>,
+        by_company: HashMap<String, Vec<usize>>,
+        name_keys: HashMap<String, String>,
+    ) -> Self {
         Self {
             events,
             by_driver,

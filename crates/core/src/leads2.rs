@@ -890,19 +890,19 @@ impl<'a> EventRef<'a> {
 }
 
 /// The serving-layer book: an owned [`LeadBook`] or a zero-copy
-/// [`MappedBook`], behind one ranking/query API. Cloning a mapped
-/// handle is an `Arc` bump; cloning an owned handle deep-copies.
+/// [`MappedBook`], behind one ranking/query API. Both are shared behind
+/// an `Arc`, so cloning a handle of either kind is a refcount bump.
 #[derive(Debug, Clone)]
 pub enum BookHandle {
     /// Heap-owned book built from events in this process.
-    Owned(LeadBook),
+    Owned(Arc<LeadBook>),
     /// Book served from mapped `LEADS v2` arenas.
     Mapped(Arc<MappedBook>),
 }
 
 impl From<LeadBook> for BookHandle {
     fn from(book: LeadBook) -> Self {
-        BookHandle::Owned(book)
+        BookHandle::Owned(Arc::new(book))
     }
 }
 
@@ -1208,7 +1208,7 @@ mod tests {
                 &["Hotspot Inc"],
             ));
         }
-        let hot = shard_of(&extended_events[60], n_shards as u32);
+        let hot = shard_of(&extended_events[60], n_shards);
         let ext = LeadBook::build(extended_events);
         let ext_enc = encode_book(&ext, n_shards);
 

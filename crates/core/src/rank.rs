@@ -118,7 +118,7 @@ pub struct CompanyScore {
 /// driver's ranked list. Returns companies sorted by MRR descending.
 #[must_use]
 pub fn rank_companies(events: &[TriggerEvent]) -> Vec<CompanyScore> {
-    rank_companies_with(events, |s| s.to_string())
+    rank_companies_named(events, None)
 }
 
 /// [`rank_companies`] with company-name variation resolution (§6): all
@@ -129,39 +129,173 @@ pub fn rank_companies_resolved(
     events: &[TriggerEvent],
     resolver: &mut AliasResolver,
 ) -> Vec<CompanyScore> {
-    rank_companies_with(events, |s| resolver.canonicalize(s))
+    rank_companies_named(events, Some(resolver))
 }
 
-fn rank_companies_with(
+fn rank_companies_named(
     events: &[TriggerEvent],
-    mut name_of: impl FnMut(&str) -> String,
+    resolver: Option<&mut AliasResolver>,
 ) -> Vec<CompanyScore> {
-    // Partition by driver, rank each partition by score.
-    let mut by_driver: HashMap<SalesDriver, Vec<&TriggerEvent>> = HashMap::new();
-    for e in events {
-        by_driver.entry(e.driver).or_default().push(e);
+    let mut names = CompanyNames::new(resolver);
+    let mentions = names.intern(events);
+    rank_companies_in(&driver_rankings(events), &mentions, &mut names)
+}
+
+/// Each driver's events ranked by [`event_order`], as indices into
+/// `events`; drivers in canonical order.
+pub(crate) fn driver_rankings(events: &[TriggerEvent]) -> Vec<(SalesDriver, Vec<usize>)> {
+    let mut rankings: Vec<(SalesDriver, Vec<usize>)> = Vec::new();
+    for (i, e) in events.iter().enumerate() {
+        match rankings.iter_mut().find(|(d, _)| *d == e.driver) {
+            Some((_, idxs)) => idxs.push(i),
+            None => rankings.push((e.driver, vec![i])),
+        }
     }
-    let mut sums: HashMap<String, (f64, usize)> = HashMap::new();
-    // Deterministic driver order so alias registration (first surface
-    // wins) does not depend on hash-map iteration.
-    let mut driver_lists: Vec<(SalesDriver, Vec<&TriggerEvent>)> = by_driver.into_iter().collect();
-    driver_lists.sort_by_key(|(d, _)| *d);
-    for (_, list) in &mut driver_lists {
-        list.sort_by(|a, b| event_order(a, b));
-        for (idx, e) in list.iter().enumerate() {
+    rankings.sort_by_key(|(d, _)| *d);
+    for (_, idxs) in &mut rankings {
+        idxs.sort_by(|&a, &b| event_order(&events[a], &events[b]));
+    }
+    rankings
+}
+
+/// Every company mention of an event slice as a surface id, flattened
+/// in event order.
+pub(crate) struct Mentions {
+    /// `ids[start[i]..start[i + 1]]` are event `i`'s mentions.
+    start: Vec<usize>,
+    ids: Vec<usize>,
+}
+
+impl Mentions {
+    /// Surface ids of event `i`'s mentions, in order.
+    pub(crate) fn of(&self, i: usize) -> &[usize] {
+        &self.ids[self.start[i]..self.start[i + 1]]
+    }
+}
+
+/// The company names of one ranking pass, interned: each distinct
+/// surface gets an id and is normalized once, and each distinct
+/// canonical name gets an id. A surface's canonical id is cached once
+/// the resolver's answer for it is settled (its key registered); until
+/// then every mention asks the resolver again, so the result is exactly
+/// that of calling [`AliasResolver::canonicalize`] on every mention in
+/// order.
+pub(crate) struct CompanyNames<'e, 'r> {
+    /// `None` ranks raw surfaces (no alias resolution).
+    resolver: Option<&'r mut AliasResolver>,
+    surfaces: Vec<Surface<'e>>,
+    canon_ids: HashMap<String, usize>,
+    canons: Vec<String>,
+}
+
+struct Surface<'e> {
+    text: &'e str,
+    /// Normalized key (left empty without a resolver).
+    key: String,
+    /// Canonical id, once settled.
+    canon: Option<usize>,
+}
+
+impl<'e, 'r> CompanyNames<'e, 'r> {
+    pub(crate) fn new(resolver: Option<&'r mut AliasResolver>) -> Self {
+        Self {
+            resolver,
+            surfaces: Vec::new(),
+            canon_ids: HashMap::new(),
+            canons: Vec::new(),
+        }
+    }
+
+    /// Intern every company mention of `events`.
+    pub(crate) fn intern(&mut self, events: &'e [TriggerEvent]) -> Mentions {
+        let mut surface_ids: HashMap<&'e str, usize> = HashMap::new();
+        let mut start = Vec::with_capacity(events.len() + 1);
+        let mut ids = Vec::new();
+        for e in events {
+            start.push(ids.len());
+            for surface in &e.companies {
+                let s = *surface_ids.entry(surface).or_insert_with(|| {
+                    self.surfaces.push(Surface {
+                        text: surface,
+                        key: match self.resolver {
+                            Some(_) => AliasResolver::normalize(surface),
+                            None => String::new(),
+                        },
+                        canon: None,
+                    });
+                    self.surfaces.len() - 1
+                });
+                ids.push(s);
+            }
+        }
+        start.push(ids.len());
+        Mentions { start, ids }
+    }
+
+    /// Canonical id of one mention of surface `s`.
+    pub(crate) fn canonical(&mut self, s: usize) -> usize {
+        let surface = &self.surfaces[s];
+        if let Some(c) = surface.canon {
+            return c;
+        }
+        let (name, settled) = match self.resolver.as_deref_mut() {
+            Some(resolver) => resolver.resolve_key(&surface.key, surface.text),
+            None => (surface.text, true),
+        };
+        let c = match self.canon_ids.get(name) {
+            Some(&c) => c,
+            None => {
+                let c = self.canons.len();
+                self.canons.push(name.to_string());
+                self.canon_ids.insert(name.to_string(), c);
+                c
+            }
+        };
+        if settled {
+            self.surfaces[s].canon = Some(c);
+        }
+        c
+    }
+
+    /// Normalized key of surface `s`.
+    pub(crate) fn key(&self, s: usize) -> &str {
+        &self.surfaces[s].key
+    }
+
+    /// Canonical name `c`.
+    pub(crate) fn canon(&self, c: usize) -> &str {
+        &self.canons[c]
+    }
+}
+
+/// The company-ranking kernel behind [`rank_companies`],
+/// [`rank_companies_resolved`] and `LeadBook::build`: Eq. 2 summed per
+/// canonical id over [`driver_rankings`]. Drivers are walked in driver
+/// order, so alias registration (first surface wins) does not depend on
+/// hash-map iteration.
+pub(crate) fn rank_companies_in(
+    rankings: &[(SalesDriver, Vec<usize>)],
+    mentions: &Mentions,
+    names: &mut CompanyNames<'_, '_>,
+) -> Vec<CompanyScore> {
+    // (Σ 1/rank, event count) per canonical id.
+    let mut sums: Vec<(f64, usize)> = Vec::new();
+    for (_, ranked) in rankings {
+        for (idx, &i) in ranked.iter().enumerate() {
             let rank = idx + 1;
-            for company in &e.companies {
-                let name = name_of(company);
-                let entry = sums.entry(name).or_insert((0.0, 0));
-                entry.0 += 1.0 / rank as f64;
-                entry.1 += 1;
+            for &s in mentions.of(i) {
+                let sum = grow(&mut sums, names.canonical(s));
+                sum.0 += 1.0 / rank as f64;
+                sum.1 += 1;
             }
         }
     }
     let mut out: Vec<CompanyScore> = sums
-        .into_iter()
-        .map(|(company, (sum, count))| CompanyScore {
-            company,
+        .iter()
+        .enumerate()
+        .filter(|(_, &(_, count))| count > 0)
+        .map(|(c, &(sum, count))| CompanyScore {
+            company: names.canon(c).to_string(),
             mrr: sum / count as f64,
             events: count,
         })
@@ -173,6 +307,14 @@ fn rank_companies_with(
             .then(a.company.cmp(&b.company))
     });
     out
+}
+
+/// `v[i]`, growing `v` with defaults as needed.
+pub(crate) fn grow<T: Default>(v: &mut Vec<T>, i: usize) -> &mut T {
+    if v.len() <= i {
+        v.resize_with(i + 1, T::default);
+    }
+    &mut v[i]
 }
 
 #[cfg(test)]

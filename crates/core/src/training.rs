@@ -316,7 +316,7 @@ pub fn sample_negatives(
     exclude_doc: impl Fn(usize) -> bool + Sync,
 ) -> Vec<AnnotatedSnippet> {
     let target = config.negative_snippets;
-    if target == 0 || web.len() == 0 {
+    if target == 0 || web.is_empty() {
         return Vec::new();
     }
     let snipgen = SnippetGenerator::new(config.snippet_window);

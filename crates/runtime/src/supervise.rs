@@ -27,7 +27,10 @@
 //! retries, leaving the stuck thread to finish (or not) in the
 //! background. That leak is deliberate — there is no safe way to kill a
 //! thread, and the stages here (crawl, score, write) hold no locks the
-//! supervisor needs.
+//! supervisor needs. An attempt that does answer is joined before the
+//! supervisor moves on: a stage thread still exiting when the next one
+//! starts makes the allocator open another arena for the newcomer, and
+//! over many cycles each of those arenas keeps a book-sized heap.
 //!
 //! Backoff jitter draws from the in-tree seeded [`Rng`], so a supervised
 //! run under a fixed fault plan retries on an identical schedule every
@@ -240,8 +243,13 @@ where
         let _ = tx.send(result);
     });
     match spawned {
-        Ok(_handle) => match rx.recv_timeout(timeout) {
-            Ok(result) => result,
+        Ok(handle) => match rx.recv_timeout(timeout) {
+            Ok(result) => {
+                // The thread exits right after sending; wait for that, so
+                // the next stage's thread cannot start beside it.
+                let _ = handle.join();
+                result
+            }
             Err(_) => Err(StageError::TimedOut),
         },
         Err(e) => Err(StageError::Failed(format!("spawn failed: {e}"))),

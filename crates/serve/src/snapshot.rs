@@ -27,7 +27,8 @@ pub struct LeadSnapshot {
     pub generation: u64,
     /// Frozen rankings: global, per-driver, per-company (Eq. 2 MRR).
     /// Either heap-owned (built in this process) or a zero-copy
-    /// `LEADS v2` mapping (warm-started from the generation store).
+    /// `LEADS v2` mapping (warm-started from the generation store);
+    /// both sit behind an `Arc`, so cloning the handle shares the book.
     pub book: BookHandle,
     /// The trained system (shared across generations when only the
     /// scanned corpus changed, not the models).

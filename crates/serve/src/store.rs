@@ -89,6 +89,13 @@ pub const SHARD_DIR: &str = "shards";
 static STAGE_PUBLISH: Stage = Stage::new("persist.publish");
 static STAGE_LOAD: Stage = Stage::new("persist.load");
 
+/// A manifest's `file name → (fnv, size)` table.
+type ManifestMap = HashMap<String, (u64, usize)>;
+
+/// Generations [`GenerationStore::load_latest`] skipped, newest first,
+/// each with the reason it failed to load.
+type SkippedGenerations = Vec<(u64, String)>;
+
 /// On-disk representation of the lead book inside a generation. Sharded
 /// binary `LEADS v2` is the only one; the enum carries its shard count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -288,13 +295,12 @@ impl GenerationStore {
     /// manifest's `name → (fnv, size)` map — the content-address table
     /// incremental publishes link against. Any failure (no previous
     /// generation, unreadable manifest) degrades to a full write.
-    fn link_base(&self, exclude: u64) -> Option<(PathBuf, HashMap<String, (u64, usize)>)> {
+    fn link_base(&self, exclude: u64) -> Option<(PathBuf, ManifestMap)> {
         let newest = self
             .generations()
             .ok()?
             .into_iter()
-            .filter(|&g| g != exclude)
-            .next_back()?;
+            .rfind(|&g| g != exclude)?;
         let dir = self.gen_dir(newest);
         let (_, records) =
             etap_persist::read_file(&dir.join("MANIFEST"), MANIFEST_KIND, MANIFEST_VERSION).ok()?;
@@ -602,7 +608,7 @@ impl GenerationStore {
     /// failures are *reported*, not raised.
     pub fn load_latest(
         &self,
-    ) -> io::Result<Option<(LeadSnapshot, Vec<(u64, String)>)>> {
+    ) -> io::Result<Option<(LeadSnapshot, SkippedGenerations)>> {
         let mut skipped = Vec::new();
         for generation in self.generations()?.into_iter().rev() {
             match self.load(generation) {

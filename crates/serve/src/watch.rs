@@ -90,7 +90,7 @@ impl Default for WatchConfig {
             interval: Duration::from_secs(60),
             cycles: None,
             poll_docs: 80,
-            poll_seed: 0x011A_7C4,
+            poll_seed: 0x011_A7C4,
             threads: 0,
             stage_timeout: Duration::from_secs(120),
             retry: RetryPolicy::default(),
@@ -262,6 +262,7 @@ fn run_cycle(
                         .collect();
                     Ok(LeadSnapshot {
                         generation: snap.generation,
+                        // Shares the extended book: an `Arc` bump.
                         book: snap.book.clone(),
                         trained: Arc::new(snap.trained.with_adapted_priors(&rates, blend)),
                     })

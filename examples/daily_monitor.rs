@@ -86,7 +86,7 @@ fn main() {
     fault::install(
         &FaultPlan::parse(
             "persist.write=io@0.1,corpus.poll=delay:5ms@0.2,retrain=panic@once",
-            0xBAD_DA,
+            0xB_ADDA,
         )
         .expect("valid plan"),
     );

@@ -3,7 +3,8 @@
 #
 # 1. `cargo build --release && cargo test -q` (the repo's tier-1 bar),
 #    then the whole workspace: `cargo build --workspace --all-targets`
-#    (benches and examples included) and `cargo test --workspace`;
+#    (benches and examples included), `cargo clippy` over the same
+#    targets with warnings denied, and `cargo test --workspace`;
 # 2. the throughput benchmark (writes BENCH_pipeline.json with 1/2/4-
 #    thread docs/sec and a per-stage ms breakdown);
 # 3. perf gate: fails if (a) the 2-/4-thread speedups fall below
@@ -46,8 +47,9 @@ cargo build --release
 cargo test -q
 
 echo
-echo "== workspace: cargo build --workspace --all-targets && cargo test --workspace =="
+echo "== workspace: cargo build --workspace --all-targets, clippy, cargo test --workspace =="
 cargo build --workspace --all-targets
+cargo clippy --workspace --all-targets --offline -- -D warnings
 cargo test -q --workspace
 
 echo

@@ -37,6 +37,9 @@
 //!
 //! Exit codes are classified for supervising shells / unit files:
 //! 1 unclassified, 2 usage, 3 store corruption, 4 transient I/O.
+//! Arguments are checked against the command's flags before it runs:
+//! an unknown flag, a stray argument, a missing value or a number that
+//! does not parse is a usage error.
 
 use etap_repro::system::{driverfile, persist, rank, AliasResolver, EventIdentifier, TrainedDriver};
 use etap_repro::{DriverSet, DriverSpec, Etap, EtapConfig, SalesDriver, SyntheticWeb, WebConfig};
@@ -117,24 +120,19 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::from(2);
     };
-    let opts = Opts::parse(&args[1..]);
     let result = match command.as_str() {
-        "train" => cmd_train(&opts),
-        "scan" => cmd_scan(&opts),
-        "score" => cmd_score(&opts),
-        "companies" => cmd_companies(&opts),
-        "eval" => cmd_eval(&opts),
-        "serve" => cmd_serve(&opts),
-        "watch" => cmd_watch(&opts),
-        "publish" => cmd_publish(&opts),
-        "generations" => cmd_generations(&opts),
-        "diff" => cmd_diff(&opts),
-        "example-drivers" => cmd_example_drivers(&opts),
         "help" | "--help" | "-h" => {
             println!("{USAGE}");
             Ok(())
         }
-        other => Err(CliError::Usage(format!("unknown command {other:?}\n{USAGE}"))),
+        other => match COMMANDS.iter().find(|(name, _, _)| *name == other) {
+            Some((name, run, flags)) => {
+                Opts::parse(name, &args[1..], flags).and_then(|opts| run(&opts))
+            }
+            None => Err(CliError::Usage(format!(
+                "unknown command {other:?}\n{USAGE}"
+            ))),
+        },
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -165,7 +163,7 @@ USAGE:
                    [--window N] [--extend] [--keep N] [--shards N]
                    [--drivers FILE]
   etap-cli generations --store <dir>
-  etap-cli diff --store <dir> [--from GEN] [--to GEN]
+  etap-cli diff --store <dir> [--from GEN] [--to GEN] [--top K]
   etap-cli example-drivers [--out FILE]
 
 --driver SPEC is all, a builtin shortcut (ma|cim|rev), a registered key,
@@ -181,26 +179,101 @@ ETAP_SERVE_STORE, ETAP_SERVE_STORE_KEEP (see README \"Serving\" and
 watch env overrides: ETAP_FAULTS, ETAP_FAULT_SEED (deterministic fault
 injection; see README \"Continuous ingest\")";
 
-/// Minimal `--flag value` / `--flag` parser.
+/// A subcommand: its name, its entry point and the flags it accepts,
+/// space-separated. A flag spec is `name` (a switch), `name=` (takes any
+/// value), `name=N` (an unsigned integer) or `name=F` (a number).
+type Command = (
+    &'static str,
+    fn(&Opts) -> Result<(), CliError>,
+    &'static str,
+);
+
+const COMMANDS: &[Command] = &[
+    ("train", cmd_train, "out= docs=N seed=N driver= drivers="),
+    (
+        "scan",
+        cmd_scan,
+        "models= docs=N seed=N top=N time-weighted drivers=",
+    ),
+    ("score", cmd_score, "model= text="),
+    (
+        "companies",
+        cmd_companies,
+        "models= docs=N seed=N top=N drivers=",
+    ),
+    ("eval", cmd_eval, "models= docs=N seed=N drivers="),
+    (
+        "serve",
+        cmd_serve,
+        "store= models= addr= docs=N seed=N window=N drivers=",
+    ),
+    (
+        "watch",
+        cmd_watch,
+        "store= models= addr= docs=N seed=N interval-ms=N cycles=N keep=N window=N blend=F \
+         stage-timeout-ms=N degrade-after=N drivers=",
+    ),
+    (
+        "publish",
+        cmd_publish,
+        "store= models= docs=N seed=N window=N extend keep=N shards=N drivers=",
+    ),
+    ("generations", cmd_generations, "store="),
+    ("diff", cmd_diff, "store= from=N to=N top=N"),
+    ("example-drivers", cmd_example_drivers, "out="),
+];
+
+/// Minimal `--flag value` / `--flag` parser that checks every argument
+/// against the command's flag specs before the command runs: unknown
+/// flags, stray arguments, missing values and numeric values that do
+/// not parse are usage errors.
 struct Opts {
     flags: Vec<(String, Option<String>)>,
 }
 
+/// The flag name of a spec (`docs=N` → `docs`).
+fn flag_name(spec: &str) -> &str {
+    spec.split_once('=').map_or(spec, |(name, _)| name)
+}
+
 impl Opts {
-    fn parse(args: &[String]) -> Self {
+    fn parse(command: &str, args: &[String], specs: &str) -> Result<Self, CliError> {
         let mut flags = Vec::new();
-        let mut i = 0;
-        while i < args.len() {
-            if let Some(name) = args[i].strip_prefix("--") {
-                let value = args.get(i + 1).filter(|v| !v.starts_with("--")).cloned();
-                if value.is_some() {
-                    i += 1;
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            let Some(name) = arg.strip_prefix("--") else {
+                return Err(CliError::Usage(format!(
+                    "unexpected argument {arg:?} for `{command}`"
+                )));
+            };
+            let Some(spec) = specs.split_whitespace().find(|s| flag_name(s) == name) else {
+                let accepted: Vec<&str> = specs.split_whitespace().map(flag_name).collect();
+                return Err(CliError::Usage(format!(
+                    "unknown flag --{name} for `{command}` (accepted: --{})",
+                    accepted.join(", --")
+                )));
+            };
+            let value = match spec.split_once('=') {
+                None => None,
+                Some((_, kind)) => {
+                    let value = args
+                        .next()
+                        .filter(|v| !v.starts_with("--"))
+                        .ok_or_else(|| CliError::Usage(format!("--{name} needs a value")))?;
+                    let numeric = match kind {
+                        "N" => value.parse::<u64>().is_ok(),
+                        "F" => value.parse::<f64>().is_ok(),
+                        _ => true,
+                    };
+                    if !numeric {
+                        return Err(CliError::Usage(format!("bad --{name} value {value:?}")));
+                    }
+                    Some(value.clone())
                 }
-                flags.push((name.to_string(), value));
-            }
-            i += 1;
+            };
+            flags.push((name.to_string(), value));
         }
-        Self { flags }
+        Ok(Self { flags })
     }
 
     fn get(&self, name: &str) -> Option<&str> {
@@ -214,10 +287,19 @@ impl Opts {
         self.flags.iter().any(|(n, _)| n == name)
     }
 
-    fn usize_or(&self, name: &str, default: usize) -> usize {
+    /// `--name`'s value parsed as `T`; `None` when the flag is absent.
+    fn parsed<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, CliError> {
         self.get(name)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+            .map(|value| {
+                value
+                    .parse()
+                    .map_err(|_| CliError::Usage(format!("bad --{name} value {value:?}")))
+            })
+            .transpose()
+    }
+
+    fn usize_or(&self, name: &str, default: usize) -> Result<usize, CliError> {
+        Ok(self.parsed(name)?.unwrap_or(default))
     }
 }
 
@@ -263,8 +345,8 @@ fn cmd_train(opts: &Opts) -> Result<(), CliError> {
     let out = PathBuf::from(opts.get("out").ok_or("--out <dir> is required")?);
     std::fs::create_dir_all(&out).map_err(|e| e.to_string())?;
     let custom = load_driver_file(opts)?;
-    let docs = opts.usize_or("docs", 4_000);
-    let seed = opts.usize_or("seed", 0xE7A9) as u64;
+    let docs = opts.usize_or("docs", 4_000)?;
+    let seed = opts.usize_or("seed", 0xE7A9)? as u64;
     let drivers = parse_drivers(opts.get("driver").unwrap_or("all"))?;
 
     eprintln!("generating {docs}-document web (seed {seed})…");
@@ -323,19 +405,19 @@ fn load_models(dir: &Path) -> Result<Vec<TrainedDriver>, CliError> {
     Ok(models)
 }
 
-fn fresh_crawl(opts: &Opts) -> SyntheticWeb {
-    let docs = opts.usize_or("docs", 300);
-    let seed = opts.usize_or("seed", 7) as u64;
+fn fresh_crawl(opts: &Opts) -> Result<SyntheticWeb, CliError> {
+    let docs = opts.usize_or("docs", 300)?;
+    let seed = opts.usize_or("seed", 7)? as u64;
     eprintln!("crawling {docs} fresh documents (seed {seed})…");
     // All registered drivers (builtins only unless models or a
     // --drivers file registered more by now) get trigger genres in the
     // crawl; with no customs this is bit-identical to the default set.
-    SyntheticWeb::generate(WebConfig {
+    Ok(SyntheticWeb::generate(WebConfig {
         total_docs: docs,
         seed,
         drivers: DriverSet::all_registered(),
         ..WebConfig::default()
-    })
+    }))
 }
 
 fn cmd_scan(opts: &Opts) -> Result<(), CliError> {
@@ -343,8 +425,8 @@ fn cmd_scan(opts: &Opts) -> Result<(), CliError> {
     let models = load_models(Path::new(
         opts.get("models").ok_or("--models <dir> required")?,
     ))?;
-    let crawl = fresh_crawl(opts);
-    let top = opts.usize_or("top", 10);
+    let crawl = fresh_crawl(opts)?;
+    let top = opts.usize_or("top", 10)?;
     let identifier = EventIdentifier::new(3);
     let events = identifier.identify(&models, crawl.docs());
     eprintln!("{} trigger events flagged.", events.len());
@@ -395,8 +477,8 @@ fn cmd_companies(opts: &Opts) -> Result<(), CliError> {
     let models = load_models(Path::new(
         opts.get("models").ok_or("--models <dir> required")?,
     ))?;
-    let crawl = fresh_crawl(opts);
-    let top = opts.usize_or("top", 10);
+    let crawl = fresh_crawl(opts)?;
+    let top = opts.usize_or("top", 10)?;
     let identifier = EventIdentifier::new(3);
     let events = identifier.identify(&models, crawl.docs());
     let mut resolver = AliasResolver::new();
@@ -453,9 +535,9 @@ fn cmd_serve(opts: &Opts) -> Result<(), CliError> {
             let models = load_models(Path::new(opts.get("models").ok_or(
                 "--models <dir> required (store is empty or not configured)",
             )?))?;
-            let window = opts.usize_or("window", 3);
+            let window = opts.usize_or("window", 3)?;
             let trained = Arc::new(etap_repro::TrainedEtap::from_drivers(models, window));
-            let crawl = fresh_crawl(opts);
+            let crawl = fresh_crawl(opts)?;
             eprintln!("building lead snapshot (generation 1)…");
             let snapshot = Arc::new(LeadSnapshot::build(trained, crawl.docs(), 1));
             eprintln!(
@@ -500,25 +582,22 @@ fn cmd_watch(opts: &Opts) -> Result<(), CliError> {
 
     load_driver_file(opts)?;
     let mut config = WatchConfig {
-        interval: Duration::from_millis(opts.usize_or("interval-ms", 1_000) as u64),
-        poll_docs: opts.usize_or("docs", 80),
-        poll_seed: opts.usize_or("seed", 0x011A_7C4) as u64,
+        interval: Duration::from_millis(opts.usize_or("interval-ms", 1_000)? as u64),
+        poll_docs: opts.usize_or("docs", 80)?,
+        poll_seed: opts.usize_or("seed", 0x011_A7C4)? as u64,
         drivers: DriverSet::all_registered(),
         ..WatchConfig::default()
     };
-    if let Some(cycles) = opts.get("cycles") {
-        let n: u64 = cycles.parse().map_err(|_| "bad --cycles value")?;
+    if let Some(n) = opts.parsed("cycles")? {
         config.cycles = Some(n);
     }
-    if let Some(ms) = opts.get("stage-timeout-ms") {
-        let ms: u64 = ms.parse().map_err(|_| "bad --stage-timeout-ms value")?;
+    if let Some(ms) = opts.parsed("stage-timeout-ms")? {
         config.stage_timeout = Duration::from_millis(ms);
     }
-    if let Some(n) = opts.get("degrade-after") {
-        config.degrade_after = n.parse().map_err(|_| "bad --degrade-after value")?;
+    if let Some(n) = opts.parsed("degrade-after")? {
+        config.degrade_after = n;
     }
-    if let Some(blend) = opts.get("blend") {
-        let b: f64 = blend.parse().map_err(|_| "bad --blend value")?;
+    if let Some(b) = opts.parsed::<f64>("blend")? {
         if !(0.0..=1.0).contains(&b) {
             return Err("--blend must be in [0, 1]".into());
         }
@@ -526,7 +605,7 @@ fn cmd_watch(opts: &Opts) -> Result<(), CliError> {
     }
 
     let root = PathBuf::from(opts.get("store").ok_or("--store <dir> required")?);
-    let keep = opts.usize_or("keep", 4).max(1);
+    let keep = opts.usize_or("keep", 4)?.max(1);
     let store = GenerationStore::open(&root)
         .map_err(io_err)?
         .with_retention(keep);
@@ -547,10 +626,10 @@ fn cmd_watch(opts: &Opts) -> Result<(), CliError> {
                 opts.get("models")
                     .ok_or("--models <dir> required (store is empty)")?,
             ))?;
-            let window = opts.usize_or("window", 3);
+            let window = opts.usize_or("window", 3)?;
             let trained = Arc::new(etap_repro::TrainedEtap::from_drivers(models, window));
-            let docs = opts.usize_or("docs", 80);
-            let seed = opts.usize_or("seed", 0x011A_7C4) as u64;
+            let docs = opts.usize_or("docs", 80)?;
+            let seed = opts.usize_or("seed", 0x011_A7C4)? as u64;
             let crawl = SyntheticWeb::generate(WebConfig {
                 seed: watch::poll_batch_seed(seed, 1),
                 drivers: DriverSet::all_registered(),
@@ -630,9 +709,9 @@ fn cmd_publish(opts: &Opts) -> Result<(), CliError> {
 
     load_driver_file(opts)?;
     // The book is sealed as sharded `LEADS v2`: mmap'd, zero-copy at load.
-    let shards = opts.usize_or("shards", DEFAULT_SHARDS as usize).max(1) as u32;
+    let shards = opts.usize_or("shards", DEFAULT_SHARDS as usize)?.max(1) as u32;
     let store = open_store(opts)?.with_leads_format(LeadsFormat::Binary { shards });
-    let keep = opts.usize_or("keep", 4);
+    let keep = opts.usize_or("keep", 4)?;
     let newest_valid = store
         .load_latest()
         .map_err(|e| e.to_string())?
@@ -651,7 +730,7 @@ fn cmd_publish(opts: &Opts) -> Result<(), CliError> {
         // to a full rebuild over the union — see DESIGN.md §9).
         let prev =
             newest_valid.ok_or("--extend needs an existing valid generation in the store")?;
-        let crawl = fresh_crawl(opts);
+        let crawl = fresh_crawl(opts)?;
         eprintln!(
             "extending generation {} with {} fresh documents…",
             prev.generation,
@@ -662,9 +741,9 @@ fn cmd_publish(opts: &Opts) -> Result<(), CliError> {
         let models = load_models(Path::new(
             opts.get("models").ok_or("--models <dir> required")?,
         ))?;
-        let window = opts.usize_or("window", 3);
+        let window = opts.usize_or("window", 3)?;
         let trained = Arc::new(etap_repro::TrainedEtap::from_drivers(models, window));
-        let crawl = fresh_crawl(opts);
+        let crawl = fresh_crawl(opts)?;
         LeadSnapshot::build(trained, crawl.docs(), next_generation)
     };
 
@@ -713,12 +792,12 @@ fn cmd_generations(opts: &Opts) -> Result<(), CliError> {
 fn cmd_diff(opts: &Opts) -> Result<(), CliError> {
     let store = open_store(opts)?;
     let generations = store.generations().map_err(|e| e.to_string())?;
-    let to = match opts.get("to") {
-        Some(v) => v.parse::<u64>().map_err(|_| "bad --to value")?,
+    let to = match opts.parsed::<u64>("to")? {
+        Some(v) => v,
         None => *generations.last().ok_or("store is empty")?,
     };
-    let from = match opts.get("from") {
-        Some(v) => v.parse::<u64>().map_err(|_| "bad --from value")?,
+    let from = match opts.parsed::<u64>("from")? {
+        Some(v) => v,
         None => *generations
             .iter()
             .rev()
@@ -750,10 +829,10 @@ fn cmd_diff(opts: &Opts) -> Result<(), CliError> {
         added.len(),
         remaining.len()
     );
-    for event in added.iter().take(opts.usize_or("top", 5)) {
+    for event in added.iter().take(opts.usize_or("top", 5)?) {
         println!("+ [{:.3}] ({}) {}", event.score, event.driver, event.snippet);
     }
-    for event in remaining.iter().take(opts.usize_or("top", 5)) {
+    for event in remaining.iter().take(opts.usize_or("top", 5)?) {
         println!("- [{:.3}] ({}) {}", event.score, event.driver, event.snippet);
     }
     Ok(())
@@ -780,8 +859,8 @@ fn cmd_eval(opts: &Opts) -> Result<(), CliError> {
     let models = load_models(Path::new(
         opts.get("models").ok_or("--models <dir> required")?,
     ))?;
-    let docs = opts.usize_or("docs", 600);
-    let seed = opts.usize_or("seed", 7) as u64;
+    let docs = opts.usize_or("docs", 600)?;
+    let seed = opts.usize_or("seed", 7)? as u64;
     eprintln!("evaluating on a fresh {docs}-document web (seed {seed})…");
     let crawl = SyntheticWeb::generate(WebConfig {
         total_docs: docs,

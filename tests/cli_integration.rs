@@ -120,6 +120,36 @@ fn unknown_command_fails_with_usage() {
 }
 
 #[test]
+fn unknown_flags_and_unparsable_values_fail_with_usage() {
+    let store = temp_model_dir("flags_store");
+    let store_arg = store.to_str().unwrap();
+    let cases: [(&[&str], &str); 5] = [
+        (
+            &["generations", "--store", store_arg, "--format", "v2"],
+            "--format",
+        ),
+        (
+            &["publish", "--store", store_arg, "--shards", "abc"],
+            "--shards",
+        ),
+        (&["diff", "--store", store_arg, "--from", "one"], "--from"),
+        (&["scan", "--models", store_arg, "--docs"], "--docs"),
+        (&["generations", "--store", store_arg, "extra"], "extra"),
+    ];
+    for (args, named) in cases {
+        let out = cli().args(args).output().expect("run");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(named),
+            "{args:?} should name {named}: {stderr}"
+        );
+    }
+    // The arguments are checked before the command touches anything.
+    assert!(!store.exists());
+}
+
+#[test]
 fn missing_required_flag_fails() {
     let out = cli().arg("train").output().expect("run");
     assert!(!out.status.success());

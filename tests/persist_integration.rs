@@ -11,7 +11,7 @@ use etap_repro::system::leads2::{encode_book, EncodedBook, MappedBook, DEFAULT_S
 use etap_repro::system::persist;
 use etap_repro::system::LeadBook;
 use etap_repro::{DriverSpec, Etap, EtapConfig, SalesDriver, TrainedEtap};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
 
 fn trained() -> Arc<TrainedEtap> {
@@ -100,7 +100,7 @@ fn book_bytes(book: &LeadBook) -> EncodedBook {
 fn lead_book_roundtrips_bit_exactly_through_leads_document() {
     let system = trained();
     let book = system.lead_book(crawl(22, 60).docs());
-    assert!(book.len() > 0, "need events to make the test meaningful");
+    assert!(!book.is_empty(), "need events to make the test meaningful");
     let encoded = book_bytes(&book);
     let heap = |bytes: &Vec<u8>| Arc::new(Arena::Heap(bytes.clone()));
     let mapped = MappedBook::open(heap(&encoded.index), encoded.shards.iter().map(heap).collect())
@@ -159,10 +159,13 @@ fn extend_roundtrips_through_the_store() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// A named way to damage one generation directory.
+type Corruption = (&'static str, fn(&Path));
+
 #[test]
 fn store_corruption_matrix_falls_back_to_newest_valid() {
     let system = trained();
-    let corruptions: [(&str, fn(&PathBuf)); 4] = [
+    let corruptions: [Corruption; 4] = [
         ("truncated_index", |dir| {
             // The index is always rewritten, never hard-linked, so
             // truncating it leaves gen 1 intact.
@@ -314,7 +317,7 @@ fn generation_vanishing_between_listing_and_read_never_panics() {
 
 /// Replace one file's manifest entry (checksum + size) and reseal the
 /// manifest, leaving everything else untouched.
-fn rewrite_manifest_entry(dir: &PathBuf, name: &str, contents: &str) {
+fn rewrite_manifest_entry(dir: &Path, name: &str, contents: &str) {
     let manifest_path = dir.join("MANIFEST");
     let text = std::fs::read_to_string(&manifest_path).unwrap();
     let mut out = String::new();

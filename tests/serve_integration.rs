@@ -322,9 +322,11 @@ fn leads_icp_enrichment_is_opt_in() {
 
 #[test]
 fn error_paths() {
-    let mut config = ServeConfig::default();
-    config.max_body_bytes = 512;
-    config.deadline_ms = 300;
+    let config = ServeConfig {
+        max_body_bytes: 512,
+        deadline_ms: 300,
+        ..ServeConfig::default()
+    };
     let server = boot(&config);
     let addr = server.addr();
 
@@ -382,10 +384,12 @@ fn error_paths() {
 
 #[test]
 fn backpressure_sheds_with_retry_after() {
-    let mut config = ServeConfig::default();
-    config.workers = 1;
-    config.queue_capacity = 1;
-    config.deadline_ms = 1_000;
+    let config = ServeConfig {
+        workers: 1,
+        queue_capacity: 1,
+        deadline_ms: 1_000,
+        ..ServeConfig::default()
+    };
     let server = boot(&config);
     let addr = server.addr();
 
